@@ -19,7 +19,6 @@ from .closure import (
     PowerIdentityCertificate,
     ScalingResult,
     closure_generators,
-    closure_generators_bruteforce,
     is_integrally_closed,
     is_normal_up_to,
     power_identity_certificate,
@@ -62,9 +61,7 @@ from .packing import (
     MembershipCertificate,
     dual_functionals,
     fractional_packing,
-    fractional_value_by_duality,
     integer_packing,
-    integer_packing_enumerated,
     verify_certificate,
 )
 from .verify import (
@@ -95,7 +92,6 @@ __all__ = [
     "WeightedGraph",
     "ZeroIdealError",
     "closure_generators",
-    "closure_generators_bruteforce",
     "cycle_graph",
     "divides",
     "dual_functionals",
@@ -103,12 +99,10 @@ __all__ = [
     "extract_cover",
     "forbidden_pattern_scan",
     "fractional_packing",
-    "fractional_value_by_duality",
     "graph_from_jsonable",
     "graph_to_jsonable",
     "induced_subgraph",
     "integer_packing",
-    "integer_packing_enumerated",
     "is_integrally_closed",
     "is_normal_up_to",
     "member",

@@ -363,7 +363,7 @@ def main(argv=None) -> int:
     except EdgeClosureError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -5,14 +5,14 @@ set of lattice points whose minimal elements all lie in the box
 a_j <= k * max_i M[j][i] (they are roundings of points in k times the
 convex hull of the generators).  The engine scans that box with the
 integer-scaled dual functionals of the packing LP, extracts the minimal
-elements, and decides closedness by testing those against I^k.  A plain
-per-point simplex scan is kept alongside as an independent oracle.
+elements, and decides closedness by testing those against I^k.  The
+wall-clock deadline is checked inside the dual enumeration, before each
+functional of the sweep, and between membership tests.
 """
 from __future__ import annotations
 
 import itertools
 import math
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -29,6 +29,7 @@ from .ideals import (
     power,
 )
 from .packing import (
+    check_deadline,
     dual_functionals,
     fractional_packing,
     integer_packing,
@@ -74,11 +75,6 @@ class ScalingResult:
     s: int
 
 
-def _check_deadline(deadline: float | None) -> None:
-    if deadline is not None and time.monotonic() > deadline:
-        raise ResourceCapError("wall-clock cap exceeded")
-
-
 def generator_box(ideal: MonomialIdeal, k: int) -> tuple[int, ...]:
     """Componentwise bound k * max generator entry, per coordinate."""
     require_proper(ideal)
@@ -112,7 +108,7 @@ def _lattice_minimals(
         raise ResourceCapError(
             f"lattice box has {volume} points, exceeding the cap of {box_cap}"
         )
-    functionals = dual_functionals(ideal)
+    functionals = dual_functionals(ideal, deadline=deadline)
     return _minimals_numpy(shape, functionals, k, deadline)
 
 
@@ -130,7 +126,7 @@ def _minimals_numpy(
             return _minimals_python(shape, functionals, k, deadline)
     inside = np.ones(shape, dtype=bool)
     for w, s in functionals:
-        _check_deadline(deadline)
+        check_deadline(deadline)
         acc = np.zeros(shape, dtype=np.int64)
         for axis, wj in enumerate(w):
             if wj == 0:
@@ -166,7 +162,7 @@ def _minimals_python(
             sum(wj * pj for wj, pj in zip(w, point)) >= t for w, t in thresholds
         )
 
-    _check_deadline(deadline)
+    check_deadline(deadline)
     members: set[tuple[int, ...]] = set()
     minimals: list[ExponentVector] = []
     # Lexicographic sweep; a point is a minimal element iff it lies in
@@ -177,30 +173,6 @@ def _minimals_python(
             if not any(
                 point[:j] + (point[j] - 1,) + point[j + 1:] in members
                 for j in range(len(shape))
-                if point[j] > 0
-            ):
-                minimals.append(point)
-    return tuple(minimals)
-
-
-def closure_generators_bruteforce(
-    ideal: MonomialIdeal, k: int, *, box_cap: int = 200_000
-) -> tuple[ExponentVector, ...]:
-    """Reference oracle: per-point simplex over the full box, no duality."""
-    if k < 1:
-        raise ValueError(f"power must be >= 1, got {k}")
-    box = generator_box(ideal, k)
-    shape = tuple(b + 1 for b in box)
-    if math.prod(shape) > box_cap:
-        raise ResourceCapError("brute-force box too large")
-    members: set[tuple[int, ...]] = set()
-    minimals: list[ExponentVector] = []
-    for point in itertools.product(*(range(s) for s in shape)):
-        if fractional_packing(ideal, point).value >= k:
-            members.add(point)
-            if not any(
-                point[:j] + (point[j] - 1,) + point[j + 1:] in members
-                for j in range(len(point))
                 if point[j] > 0
             ):
                 minimals.append(point)
@@ -225,7 +197,7 @@ def is_integrally_closed(
     pk = power(ideal, k)
     witness = None
     for a in mins:
-        _check_deadline(deadline)
+        check_deadline(deadline)
         if not member(pk, a):
             witness = a
             break

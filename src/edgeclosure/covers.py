@@ -179,20 +179,3 @@ def _verify_cover(inst: PathInstance, edges: Sequence[Edge]) -> None:
             f"cover size {len(edges)} below target {inst.target_size()}"
         )
 
-
-def find_cover_bruteforce(
-    a: Sequence[int], size: int
-) -> tuple[Edge, ...] | None:
-    """Exhaustive search for a size-`size` dividing edge multiset (test oracle)."""
-    from itertools import combinations_with_replacement
-
-    n = len(a)
-    path_edges = [(i, i + 1) for i in range(1, n)]
-    for combo in combinations_with_replacement(path_edges, size):
-        used = [0] * n
-        for u, v in combo:
-            used[u - 1] += 1
-            used[v - 1] += 1
-        if all(u <= b for u, b in zip(used, a)):
-            return combo
-    return None

@@ -70,22 +70,6 @@ class WeightedGraph:
             seen.add((u, v))
         object.__setattr__(self, "edges", tuple(sorted(self.edges)))
 
-    def edge_set(self) -> frozenset[tuple[int, int]]:
-        return frozenset((u, v) for u, v, _ in self.edges)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        if u > v:
-            u, v = v, u
-        return (u, v) in self.edge_set()
-
-    def weight(self, u: int, v: int) -> int:
-        if u > v:
-            u, v = v, u
-        for a, b, w in self.edges:
-            if (a, b) == (u, v):
-                return w
-        raise KeyError(f"no edge ({u},{v})")
-
     def heavy_edges(self) -> tuple[tuple[int, int, int], ...]:
         return tuple(e for e in self.edges if e[2] >= HEAVY)
 

@@ -155,7 +155,7 @@ def power(ideal: MonomialIdeal, k: int) -> MonomialIdeal:
     """Minimal generators of the k-th power, k >= 1."""
     if k < 1:
         raise ValueError(f"power exponent must be >= 1, got {k}")
-    if ideal.is_zero:
+    if ideal.is_zero or k == 1:
         return ideal
     sums = (
         vector_sum(combo)

@@ -10,19 +10,21 @@ of generators packed under a:
 The fractional optimum tells whether x^a lies in the closure of I^k
 (value >= k) and the integer optimum whether x^a lies in I^k itself.
 Both oracles return certificates that are re-verified before release.
+The vertices of the dual program, enumerated once per ideal, let bulk
+scans test closure membership with integer dot products alone.
 """
 from __future__ import annotations
 
 import heapq
 import math
+import time
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Sequence
 
 from .errors import ResourceCapError, UnitIdealError, ZeroIdealError
 from .ideals import ExponentVector, MonomialIdeal, as_exponent_vector
-from .simplex import simplex_maximize, solve_integer_system_scaled
+from .simplex import simplex_maximize
 
 DEFAULT_NODE_CAP = 100_000
 
@@ -46,6 +48,12 @@ def require_proper(ideal: MonomialIdeal) -> None:
         raise ZeroIdealError("the zero ideal has no membership program")
     if ideal.is_unit:
         raise UnitIdealError("the unit ideal has no membership program")
+
+
+def check_deadline(deadline: float | None) -> None:
+    """Raise ResourceCapError once the monotonic clock passes `deadline`."""
+    if deadline is not None and time.monotonic() > deadline:
+        raise ResourceCapError("wall-clock cap exceeded")
 
 
 def _check_query(ideal: MonomialIdeal, bound: Sequence[int]) -> ExponentVector:
@@ -86,60 +94,6 @@ def verify_certificate(
         if total > a[j]:
             return False
     return True
-
-
-def enumeration_bounds(ideal: MonomialIdeal, bound: Sequence[int]) -> tuple[int, ...]:
-    """Per-generator caps floor(a_j / b_i[j]) over the positive entries."""
-    a = _check_query(ideal, bound)
-    caps = []
-    for g in ideal.generators:
-        cap = min(a[j] // g[j] for j in range(ideal.n) if g[j] > 0)
-        caps.append(cap)
-    return tuple(caps)
-
-
-def integer_packing_enumerated(
-    ideal: MonomialIdeal, bound: Sequence[int], point_cap: int = 2_000_000
-) -> MembershipCertificate:
-    """Independent exhaustive oracle for the integer program.
-
-    Walks the full product box of per-variable caps; intended for tests
-    and cross-checks on small instances only.
-    """
-    a = _check_query(ideal, bound)
-    caps = enumeration_bounds(ideal, a)
-    volume = math.prod(c + 1 for c in caps)
-    if volume > point_cap:
-        raise ResourceCapError(f"enumeration box has {volume} points (cap {point_cap})")
-    gens = ideal.generators
-    n = ideal.n
-    best_y = (0,) * len(gens)
-    best_val = 0
-
-    # Depth-first over y in lexicographic order keeps the result
-    # deterministic: ties favor the lexicographically smallest y.
-    def rec(i: int, used: list[int], prefix: list[int]) -> None:
-        nonlocal best_y, best_val
-        if i == len(gens):
-            val = sum(prefix)
-            if val > best_val:
-                best_val = val
-                best_y = tuple(prefix)
-            return
-        g = gens[i]
-        for t in range(caps[i] + 1):
-            nxt = [u + t * e for u, e in zip(used, g)]
-            if any(x > b for x, b in zip(nxt, a)):
-                break
-            rec(i + 1, nxt, prefix + [t])
-
-    rec(0, [0] * n, [])
-    cert = MembershipCertificate(
-        y=tuple(Fraction(v) for v in best_y), value=Fraction(best_val), integral=True
-    )
-    if not verify_certificate(ideal, a, cert):
-        raise AssertionError("enumeration produced an invalid certificate")
-    return cert
 
 
 def _solve_box_lp(
@@ -254,93 +208,67 @@ def _most_fractional(y: Sequence[Fraction]) -> int | None:
     return best_idx
 
 
-def dual_functionals(ideal: MonomialIdeal) -> tuple[tuple[tuple[int, ...], int], ...]:
+
+
+def dual_functionals(
+    ideal: MonomialIdeal, *, deadline: float | None = None
+) -> tuple[tuple[tuple[int, ...], int], ...]:
     """Integer-scaled vertices of the dual polyhedron, cached per ideal.
 
     By LP duality the fractional packing value equals
     min { a.z : z >= 0, g.z >= 1 for every generator g }, and the
     minimum is attained at a vertex of that polyhedron.  Each vertex z
-    is returned as (w, s) with w = s*z integral, so the membership test
-    "value >= k" becomes the all-integer check a.w >= k*s.
+    is returned as (w, s) with w = s*z integral and gcd(s, *w) = 1, so
+    the membership test "value >= k" becomes the all-integer check
+    a.w >= k*s.  The tuple is sorted by (s, w).  The recession cone is
+    the non-negative orthant, so no vertex lies above another point of
+    the polyhedron and the vertices are pairwise incomparable.
+
+    The vertices are found by the double-description method (Motzkin,
+    Raiffa, Thompson & Thrall 1953; Fukuda & Prodon 1996) on the cone
+    {(z, t) : z >= 0, t >= 0, g.z >= t}, whose extreme rays with t > 0
+    are the vertices (z/t).  The enumeration checks `deadline` once per
+    generator; a cached result is returned without checking it.
     """
     cached = ideal._cache.get("dual_functionals")
     if cached is not None:
         return cached
     require_proper(ideal)
     n = ideal.n
-    gens = ideal.generators
-    m = len(gens)
-    support_mask = [
-        sum(1 << j for j in range(n) if g[j]) for g in gens
-    ]
-    sparse = [tuple((j, g[j]) for j in range(n) if g[j]) for g in gens]
-
-    # A vertex makes n constraints tight among z_j = 0 and g.z = 1.
-    # Fixing the zero coordinates first reduces each candidate basis to
-    # an r x r integer system on the free coordinates.  Everything stays
-    # in integers: a basic solution is kept as (w, s) with z = w / s,
-    # and feasibility (z >= 0, g.z >= 1) becomes w >= 0, g.w >= s.
-    vertices: set[tuple[int, tuple[int, ...]]] = set()
-    for r in range(1, min(n, m) + 1):
-        for free in combinations(range(n), r):
-            free_mask = sum(1 << j for j in free)
-            usable = [
-                i for i in range(m) if support_mask[i] & free_mask
-            ]
-            if len(usable) < r:
+    d = n + 1
+    # Rays are integer vectors (z_0, ..., z_{n-1}, t) with coprime
+    # entries.  A ray's tight set is a bitmask of the constraints it
+    # meets with equality: bit j < d for the orthant facet of coordinate
+    # j, bit d + i for generator i.  The cone starts as the orthant.
+    rays = [tuple(int(c == j) for c in range(d)) for j in range(d)]
+    tight = [((1 << d) - 1) ^ (1 << j) for j in range(d)]
+    for i, g in enumerate(ideal.generators):
+        check_deadline(deadline)
+        entries = [(j, e) for j, e in enumerate(g) if e]
+        values = [sum(e * r[j] for j, e in entries) - r[n] for r in rays]
+        bit = 1 << (d + i)
+        kept = [r for r, v in zip(rays, values) if v >= 0]
+        kept_tight = [z | bit if v == 0 else z for z, v in zip(tight, values) if v >= 0]
+        neg = [q for q, v in enumerate(values) if v < 0]
+        for p, vp in enumerate(values):
+            if vp <= 0:
                 continue
-            covered = 0
-            for i in usable:
-                covered |= support_mask[i] & free_mask
-            if covered != free_mask:
-                continue  # some free coordinate appears in no row: singular
-            for tight in combinations(usable, r):
-                rows = [[gens[i][j] for j in free] for i in tight]
-                solved = solve_integer_system_scaled(rows, [1] * r)
-                if solved is None:
-                    continue
-                w_free, s = solved
-                if any(v < 0 for v in w_free):
-                    continue
-                w = [0] * n
-                for j, v in zip(free, w_free):
-                    w[j] = v
-                if any(
-                    sum(coef * w[j] for j, coef in entries) < s
-                    for entries in sparse
+            for q in neg:
+                common = tight[p] & tight[q]
+                # Adjacent rays share a 2-face: at least d - 2 tight
+                # constraints, and no third ray tight on all of them.
+                if common.bit_count() < d - 2 or any(
+                    z & common == common and o != p and o != q
+                    for o, z in enumerate(tight)
                 ):
                     continue
-                g0 = math.gcd(s, *w)
-                vertices.add((s // g0, tuple(v // g0 for v in w)))
+                vq = -values[q]
+                ray = [vp * a + vq * b for a, b in zip(rays[q], rays[p])]
+                g0 = math.gcd(*ray)
+                kept.append(tuple(c // g0 for c in ray))
+                kept_tight.append(common | bit)
+        rays, tight = kept, kept_tight
 
-    # Drop dominated vertices: with a >= 0, z' <= z implies a.z' <= a.z,
-    # so z never attains a strict minimum.  Comparisons cross-multiply
-    # the scales to stay in integers.
-    kept: list[tuple[int, tuple[int, ...]]] = []
-    for s, w in sorted(vertices):
-        if any(
-            all(so * w[j] >= s * wo[j] for j in range(n)) for so, wo in kept
-        ):
-            continue
-        kept = [
-            (so, wo)
-            for so, wo in kept
-            if not all(s * wo[j] >= so * w[j] for j in range(n))
-        ]
-        kept.append((s, w))
-
-    result = tuple((w, s) for s, w in sorted(kept))
+    result = tuple((w, s) for s, w in sorted((r[n], r[:n]) for r in rays if r[n]))
     ideal._cache["dual_functionals"] = result
     return result
-
-
-def fractional_value_by_duality(ideal: MonomialIdeal, bound: Sequence[int]) -> Fraction:
-    """The fractional packing value computed as a dual-vertex minimum."""
-    a = _check_query(ideal, bound)
-    best: Fraction | None = None
-    for w, s in dual_functionals(ideal):
-        val = Fraction(sum(wj * aj for wj, aj in zip(w, a)), s)
-        if best is None or val < best:
-            best = val
-    assert best is not None
-    return best

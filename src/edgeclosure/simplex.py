@@ -99,6 +99,10 @@ def solve_integer_system_scaled(
     back-substitution over the common denominator: returns (num, den)
     with den > 0 and solution x = num / den (not necessarily reduced),
     or None for a singular matrix.
+
+    The library itself no longer calls this solver: the dual vertices
+    come from `packing.dual_functionals`.  It stays public for callers
+    and for the basis-by-basis reference enumeration in the tests.
     """
     n = len(rows)
     aug = [list(rows[i]) + [rhs[i]] for i in range(n)]
@@ -132,13 +136,3 @@ def solve_integer_system_scaled(
         num = [-v for v in num]
     return tuple(num), den
 
-
-def solve_integer_system(
-    rows: Sequence[Sequence[int]], rhs: Sequence[int]
-) -> tuple[Fraction, ...] | None:
-    """Exact rational solution of a square integer system, or None."""
-    scaled = solve_integer_system_scaled(rows, rhs)
-    if scaled is None:
-        return None
-    num, den = scaled
-    return tuple(Fraction(v, den) for v in num)

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import strategies as st
 
 from edgeclosure.ideals import MonomialIdeal, minimalize
 
@@ -22,6 +23,16 @@ def random_proper_ideal(
         ideal = minimalize(gens)
         if not ideal.is_zero and not ideal.is_unit:
             return ideal
+
+
+@st.composite
+def proper_ideals(draw) -> MonomialIdeal:
+    """Hypothesis strategy: n <= 6 variables, at most 6 generators, entries <= 4."""
+    n = draw(st.integers(1, 6))
+    vectors = draw(
+        st.lists(st.tuples(*[st.integers(0, 4)] * n).filter(any), min_size=1, max_size=6)
+    )
+    return minimalize(vectors, n)
 
 
 @pytest.fixture

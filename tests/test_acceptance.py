@@ -32,14 +32,11 @@ from edgeclosure.graphs import (
     star_graph,
 )
 from edgeclosure.ideals import member, power
-from edgeclosure.packing import (
-    fractional_packing,
-    integer_packing,
-    integer_packing_enumerated,
-)
+from edgeclosure.packing import fractional_packing, integer_packing
 from edgeclosure.verify import graph_key, run_equivalence_check, run_normality_check
 
 from conftest import random_proper_ideal
+from oracles import integer_packing_enumerated
 
 SEED = 20240811
 _runs: dict[str, str] = {}

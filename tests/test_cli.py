@@ -208,6 +208,12 @@ class TestErrorsAndCaps:
         monkeypatch.setenv("EDGECLOSURE_TIME_CAP_S", "-1")
         assert main(["check", c6_file, "--kmax", "3"]) == 3
 
+    def test_power_beyond_64_bits_exits_two(self, c6_file, capsys):
+        assert main(["closure", c6_file, "-k", str(2**63 - 1)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error:")
+        assert "Traceback" not in err
+
 
 class TestDeterminism:
     def test_repeated_json_outputs_identical(self, c6_file, capsys):

@@ -7,7 +7,6 @@ from edgeclosure.closure import (
     _minimals_numpy,
     _minimals_python,
     closure_generators,
-    closure_generators_bruteforce,
     generator_box,
     is_integrally_closed,
     is_normal_up_to,
@@ -31,6 +30,7 @@ from edgeclosure.packing import (
 )
 
 from conftest import random_proper_ideal
+from oracles import closure_generators_bruteforce
 
 PAIR = MonomialIdeal(3, [(2, 2, 0), (0, 2, 2)])
 TRIANGLE = MonomialIdeal(3, [(2, 2, 0), (0, 2, 2), (2, 0, 2)])

@@ -7,12 +7,13 @@ import pytest
 from edgeclosure.covers import (
     PathInstance,
     extract_cover,
-    find_cover_bruteforce,
     first_violated_inequality,
 )
 from edgeclosure.errors import DimensionMismatchError, InfeasibleInstanceError
 from edgeclosure.graphs import edge_ideal, path_graph
 from edgeclosure.packing import fractional_packing
+
+from oracles import find_cover_bruteforce
 
 
 def make_instance(n, a, y):

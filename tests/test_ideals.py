@@ -16,7 +16,8 @@ from edgeclosure.ideals import (
     vector_sum,
 )
 
-from conftest import random_proper_ideal
+from conftest import proper_ideals, random_proper_ideal
+from oracles import power_by_multisets
 
 small_vectors = st.lists(
     st.tuples(*[st.integers(0, 4)] * 3), min_size=0, max_size=6
@@ -99,6 +100,12 @@ class TestPower:
         )
         assert power(ideal, 2).generators == tuple(sums)
         assert power(ideal, 2).generators == ((0, 4, 4), (2, 4, 2), (4, 4, 0))
+
+    @settings(max_examples=100, deadline=None)
+    @given(proper_ideals())
+    def test_first_and_second_power(self, ideal):
+        assert power(ideal, 1) == ideal
+        assert power(ideal, 2) == power_by_multisets(ideal, 2)
 
     def test_zero_ideal(self):
         zero = minimalize(set(), n=2)

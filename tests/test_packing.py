@@ -1,23 +1,30 @@
 import random
+import time
 from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings
 
-from edgeclosure.errors import UnitIdealError, ZeroIdealError
+from edgeclosure.errors import ResourceCapError, UnitIdealError, ZeroIdealError
+from edgeclosure.graphs import WeightedGraph, edge_ideal
 from edgeclosure.ideals import MonomialIdeal, member, minimalize, power
 from edgeclosure.packing import (
     MembershipCertificate,
     dual_functionals,
-    enumeration_bounds,
     fractional_packing,
-    fractional_value_by_duality,
     integer_packing,
-    integer_packing_enumerated,
     verify_certificate,
 )
+from edgeclosure.verify import enumerate_weighted_graphs
 
-from conftest import random_proper_ideal
+from conftest import proper_ideals, random_proper_ideal
+from oracles import (
+    dual_functionals_by_bases,
+    enumeration_bounds,
+    fractional_value_by_duality,
+    integer_packing_enumerated,
+)
 
 PAIR = MonomialIdeal(3, [(2, 2, 0), (0, 2, 2)])
 
@@ -196,3 +203,29 @@ class TestDualFunctionals:
 
     def test_known_vertices(self):
         assert dual_functionals(PAIR) == (((0, 1, 0), 2), ((1, 0, 1), 2))
+
+    @settings(max_examples=300, deadline=None)
+    @given(proper_ideals())
+    def test_matches_basis_oracle(self, ideal):
+        result = dual_functionals(ideal)
+        assert result == dual_functionals_by_bases(ideal)
+        # no vertex z = w/s lies above another: s * w' <= s' * w fails somewhere
+        for (w, s), (wo, so) in combinations(result, 2):
+            assert not all(s * a <= so * b for a, b in zip(wo, w))
+            assert not all(so * a <= s * b for a, b in zip(w, wo))
+
+    def test_matches_basis_oracle_on_small_edge_ideals(self):
+        for n in range(2, 5):
+            for g in enumerate_weighted_graphs(n, 3):
+                if g.edges:
+                    ideal = edge_ideal(g)
+                    assert dual_functionals(ideal) == dual_functionals_by_bases(ideal), g
+
+    def test_past_deadline_raises_before_caching(self):
+        k6 = edge_ideal(
+            WeightedGraph(6, tuple((u, v, 1) for u, v in combinations(range(1, 7), 2)))
+        )
+        with pytest.raises(ResourceCapError):
+            dual_functionals(k6, deadline=time.monotonic() - 1.0)
+        assert "dual_functionals" not in k6._cache
+        assert dual_functionals(k6) == dual_functionals_by_bases(k6)

@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 from edgeclosure.simplex import (
     UnboundedProgramError,
     simplex_maximize,
-    solve_integer_system,
     solve_integer_system_scaled,
 )
+
+from oracles import solve_integer_system
 
 
 class TestSimplex:
