@@ -3,7 +3,8 @@
 Subcommands: scan, check, closure, witness, cover, verify.  Every
 subcommand accepts --json for machine-readable output; the default is
 aligned text.  Exit codes: 0 all checks passed, 1 mathematical
-violation found, 2 input error, 3 resource cap exceeded.
+violation found, 2 input error, 3 resource cap exceeded, 4 internal
+error (a certificate failed its own self-check).
 
 Resource caps come from the environment: EDGECLOSURE_BOX_CAP bounds the
 lattice box volume per closure computation (default 10_000_000 points)
@@ -52,6 +53,7 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_INPUT = 2
 EXIT_CAP = 3
+EXIT_INTERNAL = 4
 
 DEFAULT_TIME_CAP_S = 30.0
 
@@ -299,7 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
             "edge-weighted graphs."
         ),
         epilog=(
-            "Exit codes: 0 ok, 1 violation found, 2 input error, 3 resource cap. "
+            "Exit codes: 0 ok, 1 violation found, 2 input error, 3 resource cap, "
+            "4 internal error. "
             f"Caps: EDGECLOSURE_BOX_CAP (default {DEFAULT_BOX_CAP} lattice points), "
             f"EDGECLOSURE_TIME_CAP_S (default {DEFAULT_TIME_CAP_S}s per graph)."
         ),
@@ -366,6 +369,9 @@ def main(argv=None) -> int:
     except (ValueError, OverflowError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except AssertionError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

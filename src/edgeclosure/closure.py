@@ -3,15 +3,17 @@
 The exponents of monomials in the closure of I^k form an upward-closed
 set of lattice points whose minimal elements all lie in the box
 a_j <= k * max_i M[j][i] (they are roundings of points in k times the
-convex hull of the generators).  The engine scans that box with the
-integer-scaled dual functionals of the packing LP, extracts the minimal
-elements, and decides closedness by testing those against I^k.  The
-wall-clock deadline is checked inside the dual enumeration, before each
-functional of the sweep, and between membership tests.
+convex hull of the generators).  The engine sweeps that box once with
+the integer-scaled dual functionals of the packing LP, extracts the
+minimal elements, and decides closedness by looking those up among the
+minimal generators of I^k.  The sweep computes in int64 when every
+functional value in the box and every threshold k*s stays below 2**62,
+and in Python integers otherwise, so it is exact on every input.  The
+wall-clock deadline is checked inside the dual enumeration and before
+each functional of the sweep.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,7 +27,6 @@ from .ideals import (
     MonomialIdeal,
     as_exponent_vector,
     checked_mul,
-    member,
     power,
 )
 from .packing import (
@@ -95,47 +96,44 @@ def closure_generators(
     if k < 1:
         raise ValueError(f"power must be >= 1, got {k}")
     require_proper(ideal)
-    return _lattice_minimals(ideal, k, box_cap, deadline)
-
-
-def _lattice_minimals(
-    ideal: MonomialIdeal, k: int, box_cap: int, deadline: float | None
-) -> tuple[ExponentVector, ...]:
-    box = generator_box(ideal, k)
-    shape = tuple(b + 1 for b in box)
+    shape = tuple(b + 1 for b in generator_box(ideal, k))
     volume = math.prod(shape)
     if volume > box_cap:
         raise ResourceCapError(
             f"lattice box has {volume} points, exceeding the cap of {box_cap}"
         )
     functionals = dual_functionals(ideal, deadline=deadline)
-    return _minimals_numpy(shape, functionals, k, deadline)
+    return _sweep(shape, functionals, k, deadline)
 
 
-def _minimals_numpy(
+def _sweep(
     shape: tuple[int, ...],
     functionals: Sequence[tuple[tuple[int, ...], int]],
     k: int,
     deadline: float | None,
 ) -> tuple[ExponentVector, ...]:
+    """Minimal points of the box where every a.w >= k*s, sorted lex."""
     n = len(shape)
-    # Guard the int64 accumulators; exact fallback if weights are huge.
-    for w, s in functionals:
-        bound = sum(wj * (bj - 1) for wj, bj in zip(w, shape))
-        if bound >= _INT64_GUARD or k * s >= _INT64_GUARD:
-            return _minimals_python(shape, functionals, k, deadline)
+    # int64 is exact when no a.w or k*s in the box reaches 2**62;
+    # otherwise the arrays hold Python integers.
+    fits = all(
+        sum(wj * (bj - 1) for wj, bj in zip(w, shape)) < _INT64_GUARD
+        and k * s < _INT64_GUARD
+        for w, s in functionals
+    )
+    dtype = np.int64 if fits else object
+    ramps = [
+        np.arange(b, dtype=dtype).reshape(
+            tuple(b if t == axis else 1 for t in range(n))
+        )
+        for axis, b in enumerate(shape)
+    ]
     inside = np.ones(shape, dtype=bool)
     for w, s in functionals:
         check_deadline(deadline)
-        acc = np.zeros(shape, dtype=np.int64)
-        for axis, wj in enumerate(w):
-            if wj == 0:
-                continue
-            ramp = wj * np.arange(shape[axis], dtype=np.int64)
-            acc += ramp.reshape(
-                tuple(shape[axis] if t == axis else 1 for t in range(n))
-            )
-        inside &= acc >= k * s
+        # Broadcasting only over the axes with w_j != 0 keeps the sum
+        # smaller than the box when the functional has zero entries.
+        inside &= sum(wj * ramps[j] for j, wj in enumerate(w) if wj) >= k * s
     minimal = inside.copy()
     for axis in range(n):
         if shape[axis] == 1:
@@ -147,36 +145,6 @@ def _minimals_numpy(
         minimal[tuple(dst)] &= ~inside[tuple(src)]
     points = np.argwhere(minimal)
     return tuple(tuple(int(c) for c in row) for row in points)
-
-
-def _minimals_python(
-    shape: tuple[int, ...],
-    functionals: Sequence[tuple[tuple[int, ...], int]],
-    k: int,
-    deadline: float | None,
-) -> tuple[ExponentVector, ...]:
-    thresholds = [(w, k * s) for w, s in functionals]
-
-    def inside(point: tuple[int, ...]) -> bool:
-        return all(
-            sum(wj * pj for wj, pj in zip(w, point)) >= t for w, t in thresholds
-        )
-
-    check_deadline(deadline)
-    members: set[tuple[int, ...]] = set()
-    minimals: list[ExponentVector] = []
-    # Lexicographic sweep; a point is a minimal element iff it lies in
-    # the up-set and none of its coordinate predecessors does.
-    for point in itertools.product(*(range(s) for s in shape)):
-        if inside(point):
-            members.add(point)
-            if not any(
-                point[:j] + (point[j] - 1,) + point[j + 1:] in members
-                for j in range(len(shape))
-                if point[j] > 0
-            ):
-                minimals.append(point)
-    return tuple(minimals)
 
 
 def is_integrally_closed(
@@ -194,13 +162,11 @@ def is_integrally_closed(
     minimal generator outside I^k.
     """
     mins = closure_generators(ideal, k, box_cap=box_cap, deadline=deadline)
-    pk = power(ideal, k)
-    witness = None
-    for a in mins:
-        check_deadline(deadline)
-        if not member(pk, a):
-            witness = a
-            break
+    # A minimal closure generator a lies in I^k iff it is a minimal
+    # generator of I^k: any generator of I^k dividing a lies in the
+    # closure too, so by the minimality of a it equals a.
+    pk = set(power(ideal, k).generators)
+    witness = next((a for a in mins if a not in pk), None)
     return ClosureReport(
         k=k,
         closed=witness is None,

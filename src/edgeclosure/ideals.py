@@ -144,9 +144,9 @@ def minimalize(gens: Iterable[Sequence[int]], n: int | None = None) -> MonomialI
     length = len(vecs[0]) if n is None else n
     vecs = [as_exponent_vector(v, length) for v in vecs]
     minimal: list[ExponentVector] = []
+    # In lex order no vector divides one before it, so kept ones stay minimal.
     for v in sorted(set(vecs)):
         if not any(divides(m, v) for m in minimal):
-            minimal = [m for m in minimal if not divides(v, m)]
             minimal.append(v)
     return MonomialIdeal(length, minimal)
 

@@ -221,14 +221,13 @@ def run_normality_check(
     kmax: int,
     *,
     families: Sequence[str] = ("star", "path", "cycle"),
-    check_converse: bool = True,
     box_cap: int = DEFAULT_BOX_CAP,
     time_cap: float | None = None,
 ) -> VerificationRun:
     """Normality probe over structured families.
 
-    Scan-clean members must have every power up to kmax closed; with
-    `check_converse`, scan-flagged members must fail already at k = 1.
+    Scan-clean members must have every power up to kmax closed, and
+    scan-flagged members must fail already at k = 1.
     """
     run = VerificationRun(
         mode="normality",
@@ -258,7 +257,7 @@ def run_normality_check(
                         f"{key}: scan-clean but power {bad.k} not closed "
                         f"(witness {bad.witness})"
                     )
-            elif check_converse:
+            else:
                 report = is_integrally_closed(
                     ideal, 1, box_cap=box_cap, deadline=deadline
                 )
@@ -268,9 +267,6 @@ def run_normality_check(
                     run.violations.append(
                         f"{key}: scan found {witness.kind.value} but k=1 closed"
                     )
-            else:
-                closed_by_k = ()
-                consistent = True
             run.records.append(
                 GraphRecord(
                     key=key,

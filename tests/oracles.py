@@ -18,6 +18,7 @@ from edgeclosure.errors import ResourceCapError
 from edgeclosure.ideals import ExponentVector, MonomialIdeal, as_exponent_vector, minimalize
 from edgeclosure.packing import (
     MembershipCertificate,
+    check_deadline,
     dual_functionals,
     fractional_packing,
     require_proper,
@@ -209,6 +210,40 @@ def closure_generators_bruteforce(
             if not any(
                 point[:j] + (point[j] - 1,) + point[j + 1:] in members
                 for j in range(len(point))
+                if point[j] > 0
+            ):
+                minimals.append(point)
+    return tuple(minimals)
+
+
+def sweep_point_by_point(
+    shape: tuple[int, ...],
+    functionals: Sequence[tuple[tuple[int, ...], int]],
+    k: int,
+    deadline: float | None,
+) -> tuple[ExponentVector, ...]:
+    """The box sweep of `closure._sweep`, one lattice point at a time.
+
+    Same contract as the library sweep, in Python integers throughout.
+    """
+    thresholds = [(w, k * s) for w, s in functionals]
+
+    def inside(point: tuple[int, ...]) -> bool:
+        return all(
+            sum(wj * pj for wj, pj in zip(w, point)) >= t for w, t in thresholds
+        )
+
+    check_deadline(deadline)
+    members: set[tuple[int, ...]] = set()
+    minimals: list[ExponentVector] = []
+    # Lexicographic sweep; a point is a minimal element iff it lies in
+    # the up-set and none of its coordinate predecessors does.
+    for point in itertools.product(*(range(s) for s in shape)):
+        if inside(point):
+            members.add(point)
+            if not any(
+                point[:j] + (point[j] - 1,) + point[j + 1:] in members
+                for j in range(len(shape))
                 if point[j] > 0
             ):
                 minimals.append(point)

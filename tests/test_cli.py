@@ -214,6 +214,15 @@ class TestErrorsAndCaps:
         assert err.startswith("input error:")
         assert "Traceback" not in err
 
+    def test_failed_self_check_exits_four(self, capsys, monkeypatch):
+        monkeypatch.setattr(
+            "edgeclosure.packing.verify_certificate", lambda *args: False
+        )
+        assert main(["witness", "--pattern", "p3", "--weights", "2,2"]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("internal error:")
+        assert "Traceback" not in err
+
 
 class TestDeterminism:
     def test_repeated_json_outputs_identical(self, c6_file, capsys):

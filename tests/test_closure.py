@@ -4,8 +4,7 @@ from itertools import combinations
 import pytest
 
 from edgeclosure.closure import (
-    _minimals_numpy,
-    _minimals_python,
+    _sweep,
     closure_generators,
     generator_box,
     is_integrally_closed,
@@ -30,7 +29,7 @@ from edgeclosure.packing import (
 )
 
 from conftest import random_proper_ideal
-from oracles import closure_generators_bruteforce
+from oracles import closure_generators_bruteforce, sweep_point_by_point
 
 PAIR = MonomialIdeal(3, [(2, 2, 0), (0, 2, 2)])
 TRIANGLE = MonomialIdeal(3, [(2, 2, 0), (0, 2, 2), (2, 0, 2)])
@@ -66,9 +65,14 @@ class TestClosureGenerators:
             box = generator_box(ideal, k)
             shape = tuple(b + 1 for b in box)
             fs = dual_functionals(ideal)
-            assert _minimals_numpy(shape, fs, k, None) == _minimals_python(
+            assert _sweep(shape, fs, k, None) == sweep_point_by_point(
                 shape, fs, k, None
             )
+        # a.w reaches 6 * 2**62 > 2**63 in this box: an int64 sweep would
+        # wrap and report (2, 3) and (3, 2) as spurious minimal points.
+        wide = [((2**62, 2**62), 1)]
+        assert sweep_point_by_point((4, 4), wide, 1, None) == ((0, 1), (1, 0))
+        assert _sweep((4, 4), wide, 1, None) == ((0, 1), (1, 0))
 
     def test_outputs_lie_in_box(self, rng):
         for _ in range(10):
@@ -125,6 +129,23 @@ class TestIsIntegrallyClosed:
                 assert fractional_packing(ideal, g).value >= 1
             if not report.closed:
                 assert integer_packing(ideal, report.witness).value < 1
+
+    def test_matches_membership_definition(self, rng):
+        # The verdict and witness agree with testing every closure
+        # generator for membership in I^k, in lex order.
+        for _ in range(40):
+            ideal = random_proper_ideal(rng, n_max=4, m_max=4, entry_max=3)
+            for k in (1, 2, 3):
+                pk = power(ideal, k)
+                witness = next(
+                    (a for a in closure_generators(ideal, k) if not member(pk, a)),
+                    None,
+                )
+                report = is_integrally_closed(ideal, k)
+                assert (report.closed, report.witness) == (
+                    witness is None,
+                    witness,
+                ), (ideal.generators, k)
 
     def test_generators_only_on_request(self):
         assert is_integrally_closed(PAIR, 1).closure_generators is None
