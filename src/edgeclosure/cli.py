@@ -97,7 +97,8 @@ def _emit_json(payload) -> None:
     print(json.dumps(_jsonable(payload), indent=2, sort_keys=True))
 
 
-def _load_graph(path: str) -> WeightedGraph:
+def _load_json(path: str):
+    """Parse the JSON in a file, or in stdin for `-`."""
     try:
         if path == "-":
             text = sys.stdin.read()
@@ -107,10 +108,13 @@ def _load_graph(path: str) -> WeightedGraph:
     except OSError as exc:
         raise GraphFormatError(f"cannot read {path}: {exc}") from exc
     try:
-        data = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise GraphFormatError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
-    return graph_from_jsonable(data)
+
+
+def _load_graph(path: str) -> WeightedGraph:
+    return graph_from_jsonable(_load_json(path))
 
 
 def _cmd_scan(args) -> int:
@@ -226,16 +230,7 @@ def _parse_fraction(value) -> Fraction:
 
 
 def _cmd_cover(args) -> int:
-    try:
-        if args.instance == "-":
-            data = json.loads(sys.stdin.read())
-        else:
-            with open(args.instance, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-    except OSError as exc:
-        raise GraphFormatError(f"cannot read {args.instance}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise GraphFormatError(f"{args.instance}: invalid JSON: {exc}") from exc
+    data = _load_json(args.instance)
     if not isinstance(data, dict) or "a" not in data or "y" not in data:
         raise GraphFormatError("cover instance needs fields 'a' and 'y'")
     a = data["a"]

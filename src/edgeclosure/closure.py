@@ -6,7 +6,7 @@ a_j <= k * max_i M[j][i] (they are roundings of points in k times the
 convex hull of the generators).  The engine sweeps that box once with
 the integer-scaled dual functionals of the packing LP, extracts the
 minimal elements, and decides closedness by looking those up among the
-minimal generators of I^k.  The sweep computes in int64 when every
+sums of k generators.  The sweep computes in int64 when every
 functional value in the box and every threshold k*s stays below 2**62,
 and in Python integers otherwise, so it is exact on every input.  The
 wall-clock deadline is checked inside the dual enumeration and before
@@ -27,7 +27,7 @@ from .ideals import (
     MonomialIdeal,
     as_exponent_vector,
     checked_mul,
-    power,
+    generator_sums,
 )
 from .packing import (
     check_deadline,
@@ -162,11 +162,11 @@ def is_integrally_closed(
     minimal generator outside I^k.
     """
     mins = closure_generators(ideal, k, box_cap=box_cap, deadline=deadline)
-    # A minimal closure generator a lies in I^k iff it is a minimal
-    # generator of I^k: any generator of I^k dividing a lies in the
-    # closure too, so by the minimality of a it equals a.
-    pk = set(power(ideal, k).generators)
-    witness = next((a for a in mins if a not in pk), None)
+    # A minimal closure generator a lies in I^k iff it is a sum of k
+    # generators: a k-sum dividing a lies in the closure too, so by the
+    # minimality of a it equals a.
+    sums = generator_sums(ideal, k)
+    witness = next((a for a in mins if a not in sums), None)
     return ClosureReport(
         k=k,
         closed=witness is None,

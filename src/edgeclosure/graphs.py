@@ -132,18 +132,14 @@ def induced_subgraph(
     return WeightedGraph(len(order), edges), order
 
 
-def forbidden_pattern_scan(
-    g: WeightedGraph, kinds: Iterable[PatternKind] | None = None
-) -> PatternWitness | None:
+def forbidden_pattern_scan(g: WeightedGraph) -> PatternWitness | None:
     """Find a forbidden induced pattern, or None when the graph is clean.
 
     Every pattern contains two heavy edges, so the scan inspects pairs
     of heavy edges plus local adjacency.  Among all occurrences it
     returns the smallest kind (path < disjoint pair < triangle), then
-    the lexicographically smallest vertex tuple.  `kinds` restricts the
-    scan; it exists as a fault-injection hook for the harness.
+    the lexicographically smallest vertex tuple.
     """
-    active = set(PatternKind) if kinds is None else set(kinds)
     heavy = g.heavy_edges()
     weight_of = {(u, v): w for u, v, w in g.edges}
 
@@ -159,15 +155,14 @@ def forbidden_pattern_scan(
                 p, q = sorted(({a, b} | {c, d}) - {mid})
                 third = lookup(p, q)
                 if third is None:
-                    if PatternKind.HEAVY_P3 in active:
-                        candidates.add(
-                            PatternWitness(
-                                PatternKind.HEAVY_P3,
-                                (p, mid, q),
-                                (lookup(p, mid), lookup(mid, q)),
-                            )
+                    candidates.add(
+                        PatternWitness(
+                            PatternKind.HEAVY_P3,
+                            (p, mid, q),
+                            (lookup(p, mid), lookup(mid, q)),
                         )
-                elif third >= HEAVY and PatternKind.HEAVY_TRIANGLE in active:
+                    )
+                elif third >= HEAVY:
                     x, y, z = sorted((p, mid, q))
                     candidates.add(
                         PatternWitness(
@@ -176,7 +171,7 @@ def forbidden_pattern_scan(
                             (lookup(x, y), lookup(y, z), lookup(x, z)),
                         )
                     )
-            elif not shared and PatternKind.HEAVY_2K2 in active:
+            elif not shared:
                 cross = [(a, c), (a, d), (b, c), (b, d)]
                 if all(lookup(u, v) is None for u, v in cross):
                     first, second = sorted([(a, b, w1), (c, d, w2)])

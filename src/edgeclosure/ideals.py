@@ -7,7 +7,7 @@ equal and all derived output is deterministic.
 """
 from __future__ import annotations
 
-from itertools import combinations_with_replacement
+from operator import add
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatchError
@@ -43,33 +43,11 @@ def checked_mul(a: int, b: int) -> int:
     return r
 
 
-def checked_add(a: int, b: int) -> int:
-    r = a + b
-    if r > MAX_EXPONENT:
-        raise OverflowError(f"exponent sum {a}+{b} exceeds 64-bit range")
-    return r
-
-
 def divides(d: Sequence[int], a: Sequence[int]) -> bool:
     """True iff x^d divides x^a, i.e. d <= a componentwise."""
     if len(d) != len(a):
         raise DimensionMismatchError(f"lengths differ: {len(d)} vs {len(a)}")
     return all(di <= ai for di, ai in zip(d, a))
-
-
-def vector_sum(vectors: Iterable[Sequence[int]]) -> ExponentVector:
-    """Componentwise sum with 64-bit overflow checking."""
-    total: list[int] | None = None
-    for v in vectors:
-        if total is None:
-            total = list(v)
-        else:
-            if len(v) != len(total):
-                raise DimensionMismatchError("mixed vector lengths in sum")
-            total = [checked_add(t, e) for t, e in zip(total, v)]
-    if total is None:
-        raise ValueError("empty sum has no defined length")
-    return tuple(total)
 
 
 class MonomialIdeal:
@@ -88,9 +66,10 @@ class MonomialIdeal:
         gens = sorted(as_exponent_vector(g, n) for g in generators)
         if len(gens) != len(set(gens)):
             raise ValueError("duplicate generators")
+        # Sorted and distinct, so no vector divides one before it.
         for i, d in enumerate(gens):
             for a in gens[i + 1:]:
-                if divides(d, a) or divides(a, d):
+                if divides(d, a):
                     raise ValueError(
                         f"generators are not an antichain: {d} vs {a}"
                     )
@@ -151,17 +130,23 @@ def minimalize(gens: Iterable[Sequence[int]], n: int | None = None) -> MonomialI
     return MonomialIdeal(length, minimal)
 
 
-def power(ideal: MonomialIdeal, k: int) -> MonomialIdeal:
-    """Minimal generators of the k-th power, k >= 1."""
+def generator_sums(ideal: MonomialIdeal, k: int) -> set[ExponentVector]:
+    """The distinct sums of k generators, repetition allowed, k >= 1.
+
+    Entries are not range-checked; `minimalize` rejects out-of-range ones.
+    """
     if k < 1:
         raise ValueError(f"power exponent must be >= 1, got {k}")
-    if ideal.is_zero or k == 1:
-        return ideal
-    sums = (
-        vector_sum(combo)
-        for combo in combinations_with_replacement(ideal.generators, k)
-    )
-    return minimalize(sums, ideal.n)
+    gens = ideal.generators
+    sums = set(gens)
+    for _ in range(k - 1):
+        sums = {tuple(map(add, s, g)) for s in sums for g in gens}
+    return sums
+
+
+def power(ideal: MonomialIdeal, k: int) -> MonomialIdeal:
+    """Minimal generators of the k-th power, k >= 1."""
+    return minimalize(generator_sums(ideal, k), ideal.n)
 
 
 def member(ideal: MonomialIdeal, a: Sequence[int]) -> bool:

@@ -6,8 +6,8 @@ Two run modes:
   the pattern scan reports nothing exactly when the edge ideal is
   integrally closed (k = 1);
 * normality: over structured star/path/cycle families, check that every
-  scan-clean member has all probed powers closed, and (optionally) that
-  every scan-flagged member already fails at k = 1.
+  scan-clean member has all probed powers closed, and that every
+  scan-flagged member already fails at k = 1.
 
 Runs collect one record per graph and a list of violations; any
 violation flips the run's `passed` flag.  Serialized runs omit wall
@@ -23,7 +23,6 @@ from typing import Iterable, Iterator, Sequence
 
 from .closure import DEFAULT_BOX_CAP, is_integrally_closed, is_normal_up_to
 from .graphs import (
-    PatternKind,
     PatternWitness,
     WeightedGraph,
     cycle_graph,
@@ -146,7 +145,6 @@ def check_equivalence(
     graphs: Iterable[WeightedGraph],
     *,
     descriptor: dict,
-    kinds: Iterable[PatternKind] | None = None,
     box_cap: int = DEFAULT_BOX_CAP,
     time_cap: float | None = None,
 ) -> VerificationRun:
@@ -155,7 +153,7 @@ def check_equivalence(
     for g in graphs:
         start = time.monotonic()
         deadline = start + time_cap if time_cap is not None else None
-        witness = forbidden_pattern_scan(g, kinds)
+        witness = forbidden_pattern_scan(g)
         if g.edges:
             report = is_integrally_closed(
                 edge_ideal(g), 1, box_cap=box_cap, deadline=deadline
@@ -188,7 +186,6 @@ def run_equivalence_check(
     *,
     sample: int | None = None,
     seed: int | None = None,
-    kinds: Iterable[PatternKind] | None = None,
     box_cap: int = DEFAULT_BOX_CAP,
     time_cap: float | None = None,
 ) -> VerificationRun:
@@ -209,7 +206,6 @@ def run_equivalence_check(
     return check_equivalence(
         graphs,
         descriptor=descriptor,
-        kinds=kinds,
         box_cap=box_cap,
         time_cap=time_cap,
     )

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import edgeclosure
 from edgeclosure.cli import main
 
 
@@ -207,6 +212,29 @@ class TestErrorsAndCaps:
     def test_time_cap_exits_three(self, c6_file, capsys, monkeypatch):
         monkeypatch.setenv("EDGECLOSURE_TIME_CAP_S", "-1")
         assert main(["check", c6_file, "--kmax", "3"]) == 3
+
+    def test_time_cap_holds_on_unit_k10(self, tmp_path):
+        # Unit-weight K10 to k = 3 must finish or hit the 2 s cap well
+        # within 15 s; the child is killed and the test fails otherwise.
+        edges = [
+            {"u": u, "v": v, "w": 1}
+            for u in range(1, 11)
+            for v in range(u + 1, 11)
+        ]
+        path = tmp_path / "k10.json"
+        path.write_text(json.dumps({"n": 10, "edges": edges}))
+        env = dict(
+            os.environ,
+            EDGECLOSURE_TIME_CAP_S="2",
+            PYTHONPATH=str(Path(edgeclosure.__file__).parents[1]),
+        )
+        done = subprocess.run(
+            [sys.executable, "-m", "edgeclosure.cli", "check", str(path), "--kmax", "3"],
+            env=env,
+            capture_output=True,
+            timeout=15,
+        )
+        assert done.returncode in (0, 3)
 
     def test_power_beyond_64_bits_exits_two(self, c6_file, capsys):
         assert main(["closure", c6_file, "-k", str(2**63 - 1)]) == 2

@@ -100,6 +100,8 @@ class TestScan:
         assert w.kind is PatternKind.HEAVY_TRIANGLE
         assert w.vertices == (1, 2, 3)
         assert w.weights == (2, 3, 4)
+        w = forbidden_pattern_scan(cycle_graph((2, 2, 2)))
+        assert w.kind is PatternKind.HEAVY_TRIANGLE
 
     def test_kind_priority_and_lex_tiebreak(self):
         # vertices 5-6 heavy-disjoint from 2-3; 1-2-3 forms a heavy path
@@ -126,16 +128,6 @@ class TestScan:
                     for i, (u, v) in enumerate(pairs)
                 )
                 assert forbidden_pattern_scan(WeightedGraph(n, edges)) is None
-
-    def test_kinds_filter_hook(self):
-        g = cycle_graph((2, 2, 2))
-        assert forbidden_pattern_scan(g) is not None
-        assert (
-            forbidden_pattern_scan(
-                g, kinds=(PatternKind.HEAVY_P3, PatternKind.HEAVY_2K2)
-            )
-            is None
-        )
 
 
 class TestPatternWitness:

@@ -1,6 +1,6 @@
 import json
 
-from edgeclosure.graphs import PatternKind
+from edgeclosure.graphs import PatternKind, forbidden_pattern_scan
 from edgeclosure.verify import (
     enumerate_weighted_graphs,
     family_graphs,
@@ -37,10 +37,17 @@ class TestEquivalence:
         assert run.passed
         assert run.graph_count == 1 + 4 + 64
 
-    def test_fault_injection_reports_heavy_triangles(self):
-        run = run_equivalence_check(
-            3, 3, kinds=(PatternKind.HEAVY_P3, PatternKind.HEAVY_2K2)
+    def test_fault_injection_reports_heavy_triangles(self, monkeypatch):
+        def scan_without_triangles(g):
+            witness = forbidden_pattern_scan(g)
+            if witness is not None and witness.kind is PatternKind.HEAVY_TRIANGLE:
+                return None
+            return witness
+
+        monkeypatch.setattr(
+            "edgeclosure.verify.forbidden_pattern_scan", scan_without_triangles
         )
+        run = run_equivalence_check(3, 3)
         assert not run.passed
         # the all-heavy triangle with weights (2,2,2) must be reported
         assert any("1-2:2,1-3:2,2-3:2" in v for v in run.violations)
