@@ -30,12 +30,7 @@ from .closure import (
     verify_power_identity,
 )
 from .covers import PathInstance, extract_cover
-from .errors import (
-    EdgeClosureError,
-    GraphFormatError,
-    InfeasibleInstanceError,
-    ResourceCapError,
-)
+from .errors import EdgeClosureError, GraphFormatError, ResourceCapError
 from .graphs import (
     PatternKind,
     WeightedGraph,
@@ -225,7 +220,10 @@ def _parse_fraction(value) -> Fraction:
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise GraphFormatError(f"invalid fraction {value!r}") from exc
     raise GraphFormatError(f"edge values must be integers or 'p/q' strings, got {value!r}")
 
 
@@ -236,6 +234,8 @@ def _cmd_cover(args) -> int:
     a = data["a"]
     if not isinstance(a, list) or any(not isinstance(v, int) for v in a):
         raise GraphFormatError("'a' must be a list of integers")
+    if not isinstance(data["y"], list):
+        raise GraphFormatError("'y' must be a list of integers or 'p/q' strings")
     y = [_parse_fraction(v) for v in data["y"]]
     inst = PathInstance(len(a), tuple(a), tuple(y))
     edges = extract_cover(inst)
@@ -258,6 +258,8 @@ def _cmd_cover(args) -> int:
 
 def _cmd_verify(args) -> int:
     if args.mode == "thm36":
+        if args.kmax is not None:
+            raise GraphFormatError("--kmax applies to mode normality only")
         run = run_equivalence_check(
             args.n_max,
             args.weight_max,
@@ -269,6 +271,8 @@ def _cmd_verify(args) -> int:
     else:
         if args.kmax is None:
             raise GraphFormatError("--kmax is required for mode normality")
+        if args.sample is not None or args.seed is not None:
+            raise GraphFormatError("--sample and --seed apply to mode thm36 only")
         run = run_normality_check(
             args.n_max,
             args.weight_max,
@@ -340,8 +344,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--weight-max", type=int, required=True)
     p.add_argument("--kmax", type=int, help="largest power (mode normality)")
-    p.add_argument("--seed", type=int, help="seed for sampled universes")
-    p.add_argument("--sample", type=int, help="sample size instead of exhaustive enumeration")
+    p.add_argument("--seed", type=int, help="seed for sampled universes (mode thm36)")
+    p.add_argument("--sample", type=int, help="sample size instead of exhaustive enumeration (mode thm36)")
     add_json(p)
     p.set_defaults(func=_cmd_verify)
     return parser
@@ -355,13 +359,7 @@ def main(argv=None) -> int:
     except ResourceCapError as exc:
         print(f"resource cap exceeded: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except (GraphFormatError, InfeasibleInstanceError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except EdgeClosureError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (ValueError, OverflowError) as exc:
+    except (EdgeClosureError, ValueError, OverflowError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except AssertionError as exc:

@@ -122,29 +122,33 @@ def _sweep(
         for w, s in functionals
     )
     dtype = np.int64 if fits else object
+    # Only the axes of length > 1 get an array axis: a length-1 axis
+    # holds only 0, where w_j * 0 adds nothing.  Each kept axis doubles
+    # the volume at least, so the array has at most log2(volume) axes.
+    axes = [j for j, b in enumerate(shape) if b > 1]
+    sub = tuple(shape[j] for j in axes)
+    d = len(sub)
     ramps = [
-        np.arange(b, dtype=dtype).reshape(
-            tuple(b if t == axis else 1 for t in range(n))
-        )
-        for axis, b in enumerate(shape)
+        np.arange(b, dtype=dtype).reshape(tuple(b if t == pos else 1 for t in range(d)))
+        for pos, b in enumerate(sub)
     ]
-    inside = np.ones(shape, dtype=bool)
+    inside = np.ones(sub, dtype=bool)
     for w, s in functionals:
         check_deadline(deadline)
         # Broadcasting only over the axes with w_j != 0 keeps the sum
         # smaller than the box when the functional has zero entries.
-        inside &= sum(wj * ramps[j] for j, wj in enumerate(w) if wj) >= k * s
+        inside &= sum(w[j] * r for j, r in zip(axes, ramps) if w[j]) >= k * s
     minimal = inside.copy()
-    for axis in range(n):
-        if shape[axis] == 1:
-            continue
-        src = [slice(None)] * n
-        dst = [slice(None)] * n
-        src[axis] = slice(0, -1)
-        dst[axis] = slice(1, None)
+    for pos in range(d):
+        src = [slice(None)] * d
+        dst = [slice(None)] * d
+        src[pos] = slice(0, -1)
+        dst[pos] = slice(1, None)
         minimal[tuple(dst)] &= ~inside[tuple(src)]
-    points = np.argwhere(minimal)
-    return tuple(tuple(int(c) for c in row) for row in points)
+    rows = np.argwhere(minimal)
+    points = np.zeros((len(rows), n), np.int64)
+    points[:, axes] = rows
+    return tuple(map(tuple, points.tolist()))
 
 
 def is_integrally_closed(
@@ -201,23 +205,26 @@ def is_normal_up_to(
     return reports
 
 
-def _shrink_to(y: Sequence[Fraction], target: Fraction) -> tuple[Fraction, ...]:
-    """Reduce components in index order until the sum equals target.
+def _rescaled_packing(
+    ideal: MonomialIdeal, vec: ExponentVector, k: int
+) -> tuple[Fraction, tuple[Fraction, ...], int]:
+    """The optimal fractional packing of vec, rescaled to total k.
 
-    Decreasing any component preserves feasibility of M y <= a.
+    Returns the packing value, the packing with components reduced in
+    index order until they sum to k (which keeps M y <= a), and the lcm
+    of that packing's denominators.  Below value k nothing is rescaled:
+    the packing is empty and the lcm is 1.
     """
-    excess = sum(y, Fraction(0)) - target
-    if excess < 0:
-        raise ValueError("component sum is already below the target")
-    out = list(y)
-    for i, v in enumerate(out):
-        if excess == 0:
-            break
+    cert = fractional_packing(ideal, vec)
+    if cert.value < k:
+        return cert.value, (), 1
+    excess = cert.value - k
+    y = []
+    for v in cert.y:
         cut = min(v, excess)
-        out[i] = v - cut
+        y.append(v - cut)
         excess -= cut
-    assert excess == 0
-    return tuple(out)
+    return cert.value, tuple(y), math.lcm(*(v.denominator for v in y))
 
 
 def power_identity_certificate(
@@ -232,13 +239,11 @@ def power_identity_certificate(
     if k < 1:
         raise ValueError(f"power must be >= 1, got {k}")
     vec = as_exponent_vector(a, ideal.n)
-    cert = fractional_packing(ideal, vec)
-    if cert.value < k:
+    value, y, scale = _rescaled_packing(ideal, vec, k)
+    if value < k:
         raise ValueError(
-            f"x^a is not in the closure of I^{k}: packing value {cert.value} < {k}"
+            f"x^a is not in the closure of I^{k}: packing value {value} < {k}"
         )
-    y = _shrink_to(cert.y, Fraction(k))
-    scale = math.lcm(*(v.denominator for v in y))
     mults = tuple(int(v * scale) for v in y)
     used = [0] * ideal.n
     for g, t in zip(ideal.generators, mults):
@@ -293,16 +298,11 @@ def scaling_membership(
         raise ValueError(f"power must be >= 1, got {k}")
     vec = as_exponent_vector(a, ideal.n)
     if s_max is None:
-        cert = fractional_packing(ideal, vec)
-        if cert.value >= k:
-            y = _shrink_to(cert.y, Fraction(k))
-            s_max = math.lcm(*(v.denominator for v in y))
-            if s_max > 64:
-                raise ResourceCapError(
-                    f"default scaling bound {s_max} exceeds the cap of 64"
-                )
-        else:
-            s_max = 1
+        s_max = _rescaled_packing(ideal, vec, k)[2]
+        if s_max > 64:
+            raise ResourceCapError(
+                f"default scaling bound {s_max} exceeds the cap of 64"
+            )
     if s_max < 1:
         raise ValueError(f"s_max must be >= 1, got {s_max}")
     for s in range(1, s_max + 1):

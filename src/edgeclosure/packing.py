@@ -130,14 +130,13 @@ def _solve_box_lp(
     return value + sum(lower), y
 
 
-def integer_packing(
-    ideal: MonomialIdeal, bound: Sequence[int], node_cap: int = DEFAULT_NODE_CAP
-) -> MembershipCertificate:
+def integer_packing(ideal: MonomialIdeal, bound: Sequence[int]) -> MembershipCertificate:
     """Exact integer optimum via branch and bound on the LP relaxation.
 
     Branches on the most fractional component (smallest index on ties),
     explores nodes in best-bound order, and seeds the incumbent with the
-    rounded-down LP solution, which is always feasible here.
+    rounded-down LP solution, which is always feasible here.  More than
+    DEFAULT_NODE_CAP nodes raise ResourceCapError.
     """
     a = _check_query(ideal, bound)
     rows = ideal.exponent_matrix()
@@ -156,8 +155,8 @@ def integer_packing(
         if math.floor(-neg_bound) <= best_val:
             break  # best-bound order: nothing left can beat the incumbent
         nodes += 1
-        if nodes > node_cap:
-            raise ResourceCapError(f"branch-and-bound exceeded {node_cap} nodes")
+        if nodes > DEFAULT_NODE_CAP:
+            raise ResourceCapError(f"branch-and-bound exceeded {DEFAULT_NODE_CAP} nodes")
         cand_y, cand_val = _floor_incumbent(y)
         if cand_val > best_val:
             best_y, best_val = cand_y, cand_val

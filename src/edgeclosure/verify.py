@@ -1,17 +1,19 @@
 """Desk-scale verification harness for the closedness characterization.
 
-Two run modes:
+Two run modes replay the paper's two claims over a stream of graphs:
 
-* equivalence: over a universe of labeled weighted graphs, check that
-  the pattern scan reports nothing exactly when the edge ideal is
-  integrally closed (k = 1);
-* normality: over structured star/path/cycle families, check that every
-  scan-clean member has all probed powers closed, and that every
+* thm36: over a universe of labeled weighted graphs, the pattern scan
+  reports nothing exactly when the edge ideal is integrally closed;
+* normality: over structured star/path/cycle families, every
+  scan-clean member has all probed powers up to kmax closed, and every
   scan-flagged member already fails at k = 1.
 
-Runs collect one record per graph and a list of violations; any
-violation flips the run's `passed` flag.  Serialized runs omit wall
-times so identical inputs yield byte-identical JSON.
+Both modes run one per-graph loop, `_probe`.  It scans each graph; a
+scan-clean graph is probed to kmax (1 in thm36 mode) and a flagged one
+at k = 1 only.  A record is consistent iff "scan-clean" agrees with
+"every probed power closed"; an inconsistent record adds a violation
+and flips the run's `passed` flag.  Serialized runs omit wall times so
+identical inputs yield byte-identical JSON.
 """
 from __future__ import annotations
 
@@ -21,7 +23,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
-from .closure import DEFAULT_BOX_CAP, is_integrally_closed, is_normal_up_to
+from .closure import DEFAULT_BOX_CAP, is_normal_up_to
 from .graphs import (
     PatternWitness,
     WeightedGraph,
@@ -118,27 +120,72 @@ def sample_weighted_graphs(
         yield WeightedGraph(n, edges)
 
 
+# family -> (constructor from the edge weights, fewest edges, vertices minus edges)
+_FAMILIES = {
+    "star": (star_graph, 1, 1),
+    "path": (path_graph, 1, 1),
+    "cycle": (cycle_graph, 3, 0),
+}
+
+
 def family_graphs(
     family: str, n_max: int, weight_max: int
 ) -> Iterator[WeightedGraph]:
     """Structured star/path/cycle members with all weight assignments."""
-    weights_of = lambda count: itertools.product(
-        range(1, weight_max + 1), repeat=count
-    )
-    if family == "star":
-        for n in range(2, n_max + 1):
-            for ws in weights_of(n - 1):
-                yield star_graph(ws)
-    elif family == "path":
-        for n in range(2, n_max + 1):
-            for ws in weights_of(n - 1):
-                yield path_graph(ws)
-    elif family == "cycle":
-        for n in range(3, n_max + 1):
-            for ws in weights_of(n):
-                yield cycle_graph(ws)
-    else:
+    if family not in _FAMILIES:
         raise ValueError(f"unknown family {family!r}")
+    build, fewest, excess = _FAMILIES[family]
+    for m in range(fewest, n_max - excess + 1):
+        for ws in itertools.product(range(1, weight_max + 1), repeat=m):
+            yield build(ws)
+
+
+def _probe(
+    run: VerificationRun,
+    keyed_graphs: Iterable[tuple[str, WeightedGraph]],
+    kmax: int,
+    box_cap: int,
+    time_cap: float | None,
+) -> VerificationRun:
+    """Scan each graph, probe its powers, and record whether they agree.
+
+    A scan-clean graph is probed up to kmax, a flagged one at k = 1; the
+    graph with no edges has the zero ideal, closed without an engine
+    call.  The record is consistent iff the scan is clean exactly when
+    every probed power is closed.
+    """
+    for key, g in keyed_graphs:
+        start = time.monotonic()
+        deadline = start + time_cap if time_cap is not None else None
+        witness = forbidden_pattern_scan(g)
+        reports = (
+            is_normal_up_to(
+                edge_ideal(g),
+                kmax if witness is None else 1,
+                box_cap=box_cap,
+                deadline=deadline,
+            )
+            if g.edges
+            else []  # zero ideal: trivially closed, engine not applicable
+        )
+        bad = next((r for r in reports if not r.closed), None)
+        consistent = (witness is None) == (bad is None)
+        run.records.append(
+            GraphRecord(
+                key=key,
+                scan=witness,
+                closed_by_k=tuple((r.k, r.closed) for r in reports) or ((1, True),),
+                consistent=consistent,
+                elapsed=time.monotonic() - start,
+            )
+        )
+        if not consistent:
+            run.violations.append(
+                f"{key}: scan-clean but power {bad.k} not closed (witness {bad.witness})"
+                if witness is None
+                else f"{key}: scan found {witness.kind.value} but k=1 closed"
+            )
+    return run
 
 
 def check_equivalence(
@@ -149,35 +196,13 @@ def check_equivalence(
     time_cap: float | None = None,
 ) -> VerificationRun:
     """Scan-vs-engine agreement at k = 1 over an arbitrary graph stream."""
-    run = VerificationRun(mode="thm36", descriptor=descriptor)
-    for g in graphs:
-        start = time.monotonic()
-        deadline = start + time_cap if time_cap is not None else None
-        witness = forbidden_pattern_scan(g)
-        if g.edges:
-            report = is_integrally_closed(
-                edge_ideal(g), 1, box_cap=box_cap, deadline=deadline
-            )
-            closed = report.closed
-        else:
-            closed = True  # zero ideal: trivially closed, engine not applicable
-        consistent = (witness is None) == closed
-        key = graph_key(g)
-        run.records.append(
-            GraphRecord(
-                key=key,
-                scan=witness,
-                closed_by_k=((1, closed),),
-                consistent=consistent,
-                elapsed=time.monotonic() - start,
-            )
-        )
-        if not consistent:
-            run.violations.append(
-                f"{key}: scan={'none' if witness is None else witness.kind.value} "
-                f"but closed={closed}"
-            )
-    return run
+    return _probe(
+        VerificationRun(mode="thm36", descriptor=descriptor),
+        ((graph_key(g), g) for g in graphs),
+        1,
+        box_cap,
+        time_cap,
+    )
 
 
 def run_equivalence_check(
@@ -234,42 +259,9 @@ def run_normality_check(
             "kmax": kmax,
         },
     )
-    for family in families:
-        for g in family_graphs(family, n_max, weight_max):
-            start = time.monotonic()
-            deadline = start + time_cap if time_cap is not None else None
-            witness = forbidden_pattern_scan(g)
-            key = f"{family}|{graph_key(g)}"
-            ideal = edge_ideal(g)
-            if witness is None:
-                reports = is_normal_up_to(
-                    ideal, kmax, box_cap=box_cap, deadline=deadline
-                )
-                closed_by_k = tuple((r.k, r.closed) for r in reports)
-                consistent = all(r.closed for r in reports)
-                if not consistent:
-                    bad = next(r for r in reports if not r.closed)
-                    run.violations.append(
-                        f"{key}: scan-clean but power {bad.k} not closed "
-                        f"(witness {bad.witness})"
-                    )
-            else:
-                report = is_integrally_closed(
-                    ideal, 1, box_cap=box_cap, deadline=deadline
-                )
-                closed_by_k = ((1, report.closed),)
-                consistent = not report.closed
-                if not consistent:
-                    run.violations.append(
-                        f"{key}: scan found {witness.kind.value} but k=1 closed"
-                    )
-            run.records.append(
-                GraphRecord(
-                    key=key,
-                    scan=witness,
-                    closed_by_k=closed_by_k,
-                    consistent=consistent,
-                    elapsed=time.monotonic() - start,
-                )
-            )
-    return run
+    keyed_graphs = (
+        (f"{family}|{graph_key(g)}", g)
+        for family in families
+        for g in family_graphs(family, n_max, weight_max)
+    )
+    return _probe(run, keyed_graphs, kmax, box_cap, time_cap)

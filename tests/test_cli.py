@@ -79,6 +79,17 @@ class TestCheck:
         data = json.loads(capsys.readouterr().out)
         assert [r["closed"] for r in data["reports"]] == [True, True, True]
 
+    def test_graph_beyond_64_vertices(self, tmp_path, capsys):
+        # 63 isolated vertices must not cost an array axis each: numpy
+        # caps an array at 64 axes (32 on numpy 1.x).
+        path = tmp_path / "g65.json"
+        path.write_text(json.dumps({"n": 65, "edges": [{"u": 1, "v": 2, "w": 2}]}))
+        assert main(["check", str(path), "--kmax", "2"]) == 0
+        assert "all probed powers closed" in capsys.readouterr().out
+        assert main(["closure", str(path), "-k", "1", "--json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["generators"] == [[2, 2] + [0] * 63]
+
 
 class TestClosure:
     def test_lists_generators(self, p3_file, capsys):
@@ -133,6 +144,19 @@ class TestCover:
         assert main(["cover", str(inst)]) == 2
         assert "input error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "instance",
+        [{"a": [1, 2, 1], "y": ["1/0", "0"]}, {"a": [1, 2, 1], "y": 5}],
+        ids=["zero-denominator", "y-not-a-list"],
+    )
+    def test_malformed_y_is_input_error(self, tmp_path, capsys, instance):
+        inst = tmp_path / "inst.json"
+        inst.write_text(json.dumps(instance))
+        assert main(["cover", str(inst)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error:")
+        assert "Traceback" not in err
+
 
 class TestVerify:
     def test_thm36_small(self, capsys):
@@ -157,6 +181,19 @@ class TestVerify:
             ["verify", "--mode", "normality", "--n-max", "3", "--weight-max", "2"]
         )
         assert code == 2
+
+    def test_normality_rejects_sample_and_seed(self, capsys):
+        base = ["verify", "--mode", "normality", "--n-max", "3", "--weight-max", "2"]
+        for extra in (["--sample", "5"], ["--seed", "1"]):
+            assert main(base + ["--kmax", "1"] + extra) == 2
+            assert capsys.readouterr().err.startswith("input error:")
+
+    def test_thm36_rejects_kmax(self, capsys):
+        code = main(
+            ["verify", "--mode", "thm36", "--n-max", "3", "--weight-max", "2", "--kmax", "5"]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("input error:")
 
     def test_normality_small(self, capsys):
         code = main(

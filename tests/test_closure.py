@@ -47,6 +47,14 @@ class TestClosureGenerators:
         ideal = MonomialIdeal(3, [(1, 1, 0), (0, 1, 1)])
         assert closure_generators(ideal, 2) == power(ideal, 2).generators
 
+    def test_beyond_64_variables(self):
+        # 63 unused variables: numpy caps an array at 64 axes (32 on 1.x)
+        pad = (0,) * 62
+        ideal = MonomialIdeal(65, [(2, 2, 0) + pad, (0, 2, 2) + pad])
+        assert closure_generators(ideal, 1) == tuple(
+            g + pad for g in closure_generators(PAIR, 1)
+        )
+
     def test_agrees_with_bruteforce_oracle(self, rng):
         for _ in range(25):
             ideal = random_proper_ideal(rng, n_max=3, m_max=3, entry_max=3)
@@ -60,6 +68,8 @@ class TestClosureGenerators:
             (PAIR, 1),
             (TRIANGLE, 2),
             (edge_ideal(cycle_graph((2, 1, 2, 1, 2, 1))), 2),
+            # the unused second variable leaves a length-1 axis
+            (MonomialIdeal(4, [(2, 0, 2, 0), (0, 0, 2, 2)]), 2),
         ]
         for ideal, k in cases:
             box = generator_box(ideal, k)

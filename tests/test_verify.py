@@ -1,6 +1,6 @@
 import json
 
-from edgeclosure.graphs import PatternKind, forbidden_pattern_scan
+from edgeclosure.graphs import PatternKind, forbidden_pattern_scan, path_graph
 from edgeclosure.verify import (
     enumerate_weighted_graphs,
     family_graphs,
@@ -86,3 +86,21 @@ class TestNormalityMode:
         assert len(flagged) == 1
         assert flagged[0].closed_by_k == ((1, False),)
         assert run.passed
+
+    def test_fault_injection_scan_sees_nothing(self, monkeypatch):
+        monkeypatch.setattr("edgeclosure.verify.forbidden_pattern_scan", lambda g: None)
+        run = run_normality_check(3, 2, 1, families=("path",))
+        assert not run.passed
+        # the (2,2) path is the only one with a power that is not closed
+        assert run.violations == [
+            "path|n3|1-2:2,2-3:2: scan-clean but power 1 not closed (witness (1, 2, 1))"
+        ]
+
+    def test_fault_injection_scan_flags_everything(self, monkeypatch):
+        heavy = forbidden_pattern_scan(path_graph((2, 2)))
+        monkeypatch.setattr("edgeclosure.verify.forbidden_pattern_scan", lambda g: heavy)
+        run = run_normality_check(3, 2, 1, families=("path",))
+        assert not run.passed
+        assert "path|n3|1-2:1,2-3:1: scan found heavy_p3 but k=1 closed" in run.violations
+        # the (2,2) path really is not closed, so it stays consistent
+        assert not any("1-2:2,2-3:2" in v for v in run.violations)
