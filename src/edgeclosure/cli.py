@@ -182,7 +182,7 @@ def _cmd_witness(args) -> int:
     ideal = edge_ideal(graph)
     in_ideal = member(ideal, w)
     lp = fractional_packing(ideal, w)
-    scaling = scaling_membership(ideal, w, 1)
+    scaling = scaling_membership(ideal, w, 1, deadline=_deadline())
     cert = power_identity_certificate(ideal, w, 1)
     cert_ok = verify_power_identity(ideal, w, 1, cert)
     transcript_ok = (not in_ideal) and lp.value >= 1 and scaling.member and cert_ok
@@ -232,7 +232,9 @@ def _cmd_cover(args) -> int:
     if not isinstance(data, dict) or "a" not in data or "y" not in data:
         raise GraphFormatError("cover instance needs fields 'a' and 'y'")
     a = data["a"]
-    if not isinstance(a, list) or any(not isinstance(v, int) for v in a):
+    if not isinstance(a, list) or any(
+        not isinstance(v, int) or isinstance(v, bool) for v in a
+    ):
         raise GraphFormatError("'a' must be a list of integers")
     if not isinstance(data["y"], list):
         raise GraphFormatError("'y' must be a list of integers or 'p/q' strings")

@@ -285,6 +285,8 @@ def scaling_membership(
     a: Sequence[int],
     k: int,
     s_max: int | None = None,
+    *,
+    deadline: float | None = None,
 ) -> ScalingResult:
     """Search the least s with (x^a)^s in I^(s*k), testing s = 1..s_max.
 
@@ -292,7 +294,8 @@ def scaling_membership(
     When s_max is omitted it defaults to the denominator lcm of the
     rescaled fractional certificate (which guarantees a hit whenever the
     closure membership holds), errors beyond 64, and falls back to 1
-    when the fractional value is already below k.
+    when the fractional value is already below k.  `deadline` is passed
+    to every integer oracle call.
     """
     if k < 1:
         raise ValueError(f"power must be >= 1, got {k}")
@@ -307,6 +310,6 @@ def scaling_membership(
         raise ValueError(f"s_max must be >= 1, got {s_max}")
     for s in range(1, s_max + 1):
         scaled = tuple(checked_mul(s, v) for v in vec)
-        if integer_packing(ideal, scaled).value >= s * k:
+        if integer_packing(ideal, scaled, deadline=deadline).value >= s * k:
             return ScalingResult(member=True, s=s)
     return ScalingResult(member=False, s=s_max)

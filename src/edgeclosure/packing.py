@@ -79,19 +79,29 @@ def fractional_packing(ideal: MonomialIdeal, bound: Sequence[int]) -> Membership
 def verify_certificate(
     ideal: MonomialIdeal, bound: Sequence[int], cert: MembershipCertificate
 ) -> bool:
-    """Re-check every certificate invariant against (ideal, bound)."""
+    """Re-check every certificate invariant against (ideal, bound).
+
+    The checks run in integers over the common denominator `den` of y:
+    with y = nums / den, the value, integrality and budget conditions
+    become integer comparisons.  A value or component that is not an
+    int or a Fraction (a float, say) is not exact, so it fails.
+    """
     a = _check_query(ideal, bound)
-    if len(cert.y) != ideal.num_generators:
+    exact = (int, Fraction)
+    if len(cert.y) != ideal.num_generators or not (
+        isinstance(cert.value, exact) and all(isinstance(v, exact) for v in cert.y)
+    ):
         return False
-    if any(v < 0 for v in cert.y):
+    den = math.lcm(*(v.denominator for v in cert.y))
+    nums = [v.numerator * (den // v.denominator) for v in cert.y]
+    if any(t < 0 for t in nums):
         return False
-    if sum(cert.y, Fraction(0)) != cert.value:
+    if sum(nums) * cert.value.denominator != cert.value.numerator * den:
         return False
-    if cert.integral and any(Fraction(v).denominator != 1 for v in cert.y):
+    if cert.integral and den != 1:
         return False
     for j in range(ideal.n):
-        total = sum((g[j] * v for g, v in zip(ideal.generators, cert.y)), Fraction(0))
-        if total > a[j]:
+        if sum(g[j] * t for g, t in zip(ideal.generators, nums)) > a[j] * den:
             return False
     return True
 
@@ -130,13 +140,16 @@ def _solve_box_lp(
     return value + sum(lower), y
 
 
-def integer_packing(ideal: MonomialIdeal, bound: Sequence[int]) -> MembershipCertificate:
+def integer_packing(
+    ideal: MonomialIdeal, bound: Sequence[int], *, deadline: float | None = None
+) -> MembershipCertificate:
     """Exact integer optimum via branch and bound on the LP relaxation.
 
     Branches on the most fractional component (smallest index on ties),
     explores nodes in best-bound order, and seeds the incumbent with the
     rounded-down LP solution, which is always feasible here.  More than
-    DEFAULT_NODE_CAP nodes raise ResourceCapError.
+    DEFAULT_NODE_CAP nodes raise ResourceCapError, and so does passing
+    `deadline`, checked once per node taken off the heap.
     """
     a = _check_query(ideal, bound)
     rows = ideal.exponent_matrix()
@@ -151,6 +164,7 @@ def integer_packing(ideal: MonomialIdeal, bound: Sequence[int]) -> MembershipCer
     heapq.heappush(heap, (-root[0], counter, (0,) * m, (None,) * m, root[1], root[0]))
     nodes = 0
     while heap:
+        check_deadline(deadline)
         neg_bound, _, lower, upper, y, value = heapq.heappop(heap)
         if math.floor(-neg_bound) <= best_val:
             break  # best-bound order: nothing left can beat the incumbent

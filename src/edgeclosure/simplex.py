@@ -1,10 +1,14 @@
-"""Exact rational simplex and fraction-free linear solving.
+"""Exact fraction-free simplex and fraction-free linear solving.
 
-Everything here works over `fractions.Fraction` (or plain ints), so
-optima are exact.  The simplex is specialized to the only shape this
-package needs: maximize c.x subject to A x <= b, x >= 0 with b >= 0,
-which makes the all-slack basis feasible and removes any phase-1 step.
-Bland's rule guarantees termination and makes every solve deterministic.
+Both solvers compute in Python integers only.  The simplex is
+specialized to the only shape this package needs: maximize c.x subject
+to A x <= b, x >= 0 with integer data and b >= 0, which makes the
+all-slack basis feasible and removes any phase-1 step.  It keeps one
+integer tableau over a common denominator, the last pivot, and divides
+every update exactly by the previous one (Bareiss 1968; Edmonds 1967),
+so optima are exact without any `Fraction` arithmetic until the answer
+is read off.  Bland's rule guarantees termination and makes every solve
+deterministic.
 """
 from __future__ import annotations
 
@@ -16,78 +20,91 @@ class UnboundedProgramError(Exception):
     """The linear program has unbounded objective value."""
 
 
+def _require_ints(values: Sequence[int], what: str) -> None:
+    for v in values:
+        if not isinstance(v, int) or isinstance(v, bool):
+            raise ValueError(f"{what} entries must be int, got {v!r}")
+
+
 def simplex_maximize(
-    objective: Sequence[int | Fraction],
-    rows: Sequence[Sequence[int | Fraction]],
-    rhs: Sequence[int | Fraction],
+    objective: Sequence[int],
+    rows: Sequence[Sequence[int]],
+    rhs: Sequence[int],
 ) -> tuple[Fraction, tuple[Fraction, ...]]:
     """Solve max objective.x s.t. rows.x <= rhs, x >= 0 exactly.
 
-    Requires rhs >= 0 componentwise (callers arrange this).  Returns the
-    optimal value and one optimal vertex, both exact.  The pivot choice
-    is Bland's rule: smallest eligible column, then smallest basic
-    variable on ratio ties.
+    Every entry must be an int (not a bool, float or Fraction), else
+    ValueError; rhs >= 0 componentwise (callers arrange this).  Returns
+    the optimal value and one optimal vertex, both exact.  The pivot
+    choice is Bland's rule: smallest eligible column, then smallest
+    basic variable on ratio ties.
+
+    The tableau holds integers T with a common denominator D > 0: the
+    true tableau is T / D.  D starts at 1 and becomes the pivot after
+    each pivot; pivots are positive, so every sign test on T reads as
+    it would on T / D.
     """
     m = len(objective)
     n = len(rows)
+    _require_ints(objective, "objective")
     for r in rows:
         if len(r) != m:
             raise ValueError("constraint row length does not match objective")
+        _require_ints(r, "constraint")
     if len(rhs) != n:
         raise ValueError("rhs length does not match row count")
-    if any(Fraction(b) < 0 for b in rhs):
+    _require_ints(rhs, "rhs")
+    if any(b < 0 for b in rhs):
         raise ValueError("rhs must be componentwise non-negative")
 
-    # Tableau columns: m structural vars, n slacks, rhs.
+    # Tableau columns: m structural vars, n slacks, rhs.  Row n is the
+    # cost row, pivoted like the constraint rows.
     tab = [
-        [Fraction(v) for v in rows[i]]
-        + [Fraction(1) if j == i else Fraction(0) for j in range(n)]
-        + [Fraction(rhs[i])]
+        list(rows[i]) + [int(j == i) for j in range(n)] + [rhs[i]]
         for i in range(n)
     ]
-    cost = [Fraction(c) for c in objective] + [Fraction(0)] * (n + 1)
+    tab.append(list(objective) + [0] * (n + 1))
     basis = list(range(m, m + n))
+    den = 1
 
     while True:
+        cost = tab[n]
         enter = next((j for j in range(m + n) if cost[j] > 0), None)
         if enter is None:
             break
-        leave = None
-        best: Fraction | None = None
+        leave, b_best, a_best = None, 1, 0  # b_best / a_best = +infinity
         for i in range(n):
             coef = tab[i][enter]
             if coef > 0:
-                ratio = tab[i][m + n] / coef
-                if best is None or ratio < best or (
-                    ratio == best and basis[i] < basis[leave]
-                ):
-                    best = ratio
-                    leave = i
+                b = tab[i][-1]
+                d = b * a_best - b_best * coef  # sign of b/coef - b_best/a_best
+                if d < 0 or (d == 0 and basis[i] < basis[leave]):
+                    leave, b_best, a_best = i, b, coef
         if leave is None:
             raise UnboundedProgramError("objective increases without bound")
-        _pivot(tab, cost, leave, enter)
+        den = _pivot(tab, leave, enter, den)
         basis[leave] = enter
 
     x = [Fraction(0)] * m
     for i, bv in enumerate(basis):
         if bv < m:
-            x[bv] = tab[i][m + n]
-    value = -cost[m + n]
-    return value, tuple(x)
+            x[bv] = Fraction(tab[i][-1], den)
+    return Fraction(-tab[n][-1], den), tuple(x)
 
 
-def _pivot(tab: list[list[Fraction]], cost: list[Fraction], row: int, col: int) -> None:
-    piv = tab[row][col]
-    tab[row] = [v / piv for v in tab[row]]
+def _pivot(tab: list[list[int]], row: int, col: int, den: int) -> int:
+    """Pivot on (row, col) in place; return the new common denominator.
+
+    Each entry outside the pivot row becomes (v*p - f*q) / den, an exact
+    division because every entry is a minor of the input data.
+    """
     prow = tab[row]
+    p = prow[col]
     for i, r in enumerate(tab):
-        if i != row and r[col]:
+        if i != row:
             f = r[col]
-            tab[i] = [v - f * p for v, p in zip(r, prow)]
-    f = cost[col]
-    if f:
-        for j, p in enumerate(prow):
-            cost[j] -= f * p
+            tab[i] = [(v * p - f * q) // den for v, q in zip(r, prow)]
+    return p
 
 
 def solve_integer_system_scaled(

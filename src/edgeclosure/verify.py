@@ -13,7 +13,9 @@ scan-clean graph is probed to kmax (1 in thm36 mode) and a flagged one
 at k = 1 only.  A record is consistent iff "scan-clean" agrees with
 "every probed power closed"; an inconsistent record adds a violation
 and flips the run's `passed` flag.  Serialized runs omit wall times so
-identical inputs yield byte-identical JSON.
+identical inputs yield byte-identical JSON.  A negative weight bound or
+sample size, or a universe with no graph in it, raises ValueError rather
+than passing vacuously.
 """
 from __future__ import annotations
 
@@ -215,8 +217,10 @@ def run_equivalence_check(
     time_cap: float | None = None,
 ) -> VerificationRun:
     """Equivalence over the exhaustive universe, or a seeded sample of it."""
+    _require_non_negative("weight_max", weight_max)
     descriptor: dict = {"n_max": n_max, "weight_max": weight_max}
     if sample is not None:
+        _require_non_negative("sample", sample)
         if seed is None:
             raise ValueError("sampled universes require a seed")
         descriptor.update({"sample": sample, "seed": seed})
@@ -228,11 +232,13 @@ def run_equivalence_check(
             enumerate_weighted_graphs(n, weight_max)
             for n in range(1, n_max + 1)
         )
-    return check_equivalence(
-        graphs,
-        descriptor=descriptor,
-        box_cap=box_cap,
-        time_cap=time_cap,
+    return _require_graphs(
+        check_equivalence(
+            graphs,
+            descriptor=descriptor,
+            box_cap=box_cap,
+            time_cap=time_cap,
+        )
     )
 
 
@@ -250,6 +256,7 @@ def run_normality_check(
     Scan-clean members must have every power up to kmax closed, and
     scan-flagged members must fail already at k = 1.
     """
+    _require_non_negative("weight_max", weight_max)
     run = VerificationRun(
         mode="normality",
         descriptor={
@@ -264,4 +271,16 @@ def run_normality_check(
         for family in families
         for g in family_graphs(family, n_max, weight_max)
     )
-    return _probe(run, keyed_graphs, kmax, box_cap, time_cap)
+    return _require_graphs(_probe(run, keyed_graphs, kmax, box_cap, time_cap))
+
+
+def _require_non_negative(name: str, value: int) -> None:
+    if value < 0:
+        raise ValueError(f"{name} must be >= 0, got {value}")
+
+
+def _require_graphs(run: VerificationRun) -> VerificationRun:
+    """Refuse a run over an empty universe: it checked nothing."""
+    if not run.records:
+        raise ValueError(f"the universe {run.descriptor} has no graph to check")
+    return run

@@ -24,7 +24,7 @@ from edgeclosure.packing import (
     require_proper,
     verify_certificate,
 )
-from edgeclosure.simplex import solve_integer_system_scaled
+from edgeclosure.simplex import UnboundedProgramError, solve_integer_system_scaled
 
 Edge = tuple[int, int]
 
@@ -43,6 +43,79 @@ def solve_integer_system(
         return None
     num, den = scaled
     return tuple(Fraction(v, den) for v in num)
+
+
+def simplex_maximize_fractions(
+    objective: Sequence[int | Fraction],
+    rows: Sequence[Sequence[int | Fraction]],
+    rhs: Sequence[int | Fraction],
+) -> tuple[Fraction, tuple[Fraction, ...]]:
+    """`simplex.simplex_maximize` on a tableau of `Fraction`s.
+
+    The same Bland's-rule pivots as the library's integer tableau, with
+    the pivot row normalized and every entry a reduced fraction, so the
+    two must return the same optimal value and the same vertex.
+    """
+    m = len(objective)
+    n = len(rows)
+    for r in rows:
+        if len(r) != m:
+            raise ValueError("constraint row length does not match objective")
+    if len(rhs) != n:
+        raise ValueError("rhs length does not match row count")
+    if any(Fraction(b) < 0 for b in rhs):
+        raise ValueError("rhs must be componentwise non-negative")
+
+    # Tableau columns: m structural vars, n slacks, rhs.
+    tab = [
+        [Fraction(v) for v in rows[i]]
+        + [Fraction(1) if j == i else Fraction(0) for j in range(n)]
+        + [Fraction(rhs[i])]
+        for i in range(n)
+    ]
+    cost = [Fraction(c) for c in objective] + [Fraction(0)] * (n + 1)
+    basis = list(range(m, m + n))
+
+    while True:
+        enter = next((j for j in range(m + n) if cost[j] > 0), None)
+        if enter is None:
+            break
+        leave = None
+        best: Fraction | None = None
+        for i in range(n):
+            coef = tab[i][enter]
+            if coef > 0:
+                ratio = tab[i][m + n] / coef
+                if best is None or ratio < best or (
+                    ratio == best and basis[i] < basis[leave]
+                ):
+                    best = ratio
+                    leave = i
+        if leave is None:
+            raise UnboundedProgramError("objective increases without bound")
+        _pivot_fractions(tab, cost, leave, enter)
+        basis[leave] = enter
+
+    x = [Fraction(0)] * m
+    for i, bv in enumerate(basis):
+        if bv < m:
+            x[bv] = tab[i][m + n]
+    value = -cost[m + n]
+    return value, tuple(x)
+
+
+def _pivot_fractions(tab: list[list[Fraction]], cost: list[Fraction], row: int, col: int) -> None:
+    piv = tab[row][col]
+    tab[row] = [v / piv for v in tab[row]]
+    prow = tab[row]
+    for i, r in enumerate(tab):
+        if i != row and r[col]:
+            f = r[col]
+            tab[i] = [v - f * p for v, p in zip(r, prow)]
+    f = cost[col]
+    if f:
+        for j, p in enumerate(prow):
+            cost[j] -= f * p
 
 
 def dual_functionals_by_bases(ideal: MonomialIdeal) -> tuple[tuple[tuple[int, ...], int], ...]:

@@ -157,6 +157,15 @@ class TestCover:
         assert err.startswith("input error:")
         assert "Traceback" not in err
 
+    def test_boolean_in_a_is_input_error(self, tmp_path, capsys):
+        inst = tmp_path / "inst.json"
+        inst.write_text(json.dumps({"a": [True, 2, 1], "y": ["1", "1"]}))
+        assert main(["cover", str(inst), "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("input error:")
+        assert "Traceback" not in captured.err
+
 
 class TestVerify:
     def test_thm36_small(self, capsys):
@@ -194,6 +203,22 @@ class TestVerify:
         )
         assert code == 2
         assert capsys.readouterr().err.startswith("input error:")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--mode", "thm36", "--n-max", "4", "--weight-max", "3"]
+            + ["--sample", "-5", "--seed", "1"],
+            ["--mode", "normality", "--n-max", "1", "--weight-max", "3", "--kmax", "3"],
+            ["--mode", "thm36", "--n-max", "3", "--weight-max", "-1"],
+        ],
+        ids=["negative-sample", "no-family-member", "negative-weight-max"],
+    )
+    def test_empty_universe_is_input_error(self, capsys, argv):
+        assert main(["verify", *argv, "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("input error:")
 
     def test_normality_small(self, capsys):
         code = main(
@@ -249,6 +274,11 @@ class TestErrorsAndCaps:
     def test_time_cap_exits_three(self, c6_file, capsys, monkeypatch):
         monkeypatch.setenv("EDGECLOSURE_TIME_CAP_S", "-1")
         assert main(["check", c6_file, "--kmax", "3"]) == 3
+
+    def test_time_cap_reaches_witness_branch_and_bound(self, capsys, monkeypatch):
+        monkeypatch.setenv("EDGECLOSURE_TIME_CAP_S", "-1")
+        assert main(["witness", "--pattern", "p3", "--weights", "2,2"]) == 3
+        assert "resource cap" in capsys.readouterr().err
 
     def test_time_cap_holds_on_unit_k10(self, tmp_path):
         # Unit-weight K10 to k = 3 must finish or hit the 2 s cap well

@@ -219,6 +219,10 @@ class TestScalingMembership:
         result = scaling_membership(PAIR, (1, 1, 1), 1)
         assert not result.member and result.s == 1
 
+    def test_past_deadline_raises(self):
+        with pytest.raises(ResourceCapError):
+            scaling_membership(PAIR, (1, 4, 1), 1, 4, deadline=time.monotonic() - 1.0)
+
 
 class TestPowerIdentity:
     def test_classic_witness_identity(self):

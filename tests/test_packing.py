@@ -1,5 +1,6 @@
 import random
 import time
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -27,6 +28,9 @@ from oracles import (
 )
 
 PAIR = MonomialIdeal(3, [(2, 2, 0), (0, 2, 2)])
+# Its packing under (5, 1) is y = (1/3, 5/2): tight on both coordinates,
+# with two different denominators.
+MIXED = MonomialIdeal(2, [(0, 3), (2, 0)])
 
 
 def lp_value_by_vertex_enumeration(rows, rhs) -> Fraction:
@@ -96,6 +100,11 @@ class TestInteger:
             enum = integer_packing_enumerated(ideal, a)
             assert bb.value == enum.value, (ideal.generators, a)
 
+    def test_past_deadline_raises(self):
+        # a branching query: the root LP of (1, 4, 1) is fractional
+        with pytest.raises(ResourceCapError):
+            integer_packing(PAIR, (1, 4, 1), deadline=time.monotonic() - 1.0)
+
     def test_enumeration_bounds_tight(self):
         assert enumeration_bounds(PAIR, (2, 4, 2)) == (1, 1)
 
@@ -128,6 +137,46 @@ class TestCertificates:
             y=(Fraction(1, 2), Fraction(1, 2)), value=Fraction(1), integral=True
         )
         assert not verify_certificate(PAIR, (1, 4, 1), bad)
+
+
+class TestTamperedCertificates:
+    """A valid certificate with one invariant broken at a time."""
+
+    A = (5, 1)
+
+    @pytest.fixture
+    def cert(self):
+        cert = fractional_packing(MIXED, self.A)
+        assert cert.y == (Fraction(1, 3), Fraction(5, 2))
+        assert verify_certificate(MIXED, self.A, cert)
+        return cert
+
+    @pytest.mark.parametrize("index", [0, 1])
+    def test_component_raised_by_a_thousandth(self, cert, index):
+        y = list(cert.y)
+        y[index] += Fraction(1, 1000)
+        # the value left as it was: both the value and the budget break
+        assert not verify_certificate(MIXED, self.A, replace(cert, y=tuple(y)))
+        # the value raised as well: only the budget breaks
+        raised = replace(cert, y=tuple(y), value=cert.value + Fraction(1, 1000))
+        assert not verify_certificate(MIXED, self.A, raised)
+
+    def test_value_off_by_a_seventh(self, cert):
+        bad = replace(cert, value=cert.value + Fraction(1, 7))
+        assert not verify_certificate(MIXED, self.A, bad)
+
+    def test_integral_flag_on_fractional_y(self, cert):
+        assert not verify_certificate(MIXED, self.A, replace(cert, integral=True))
+
+    def test_float_entries(self, cert):
+        assert not verify_certificate(MIXED, self.A, replace(cert, y=(1 / 3, 2.5)))
+        assert not verify_certificate(MIXED, self.A, replace(cert, value=float(cert.value)))
+
+    def test_negative_component(self, cert):
+        # value and budget still hold; only the sign is wrong
+        y = (-cert.y[0], cert.y[1])
+        bad = replace(cert, y=y, value=sum(y))
+        assert not verify_certificate(MIXED, self.A, bad)
 
 
 class TestInvariants:
