@@ -4,13 +4,13 @@ Library surface:
 
 * ideals: exponent vectors, minimal generating antichains, powers,
   divisibility membership;
-* graphs: weighted graphs, edge ideals, induced subgraphs, the
-  forbidden-pattern scan and its standard witnesses;
+* graphs: weighted graphs, edge ideals, the forbidden-pattern scan
+  and its standard witnesses;
 * packing: exact rational LP / integer membership oracles with
   verifiable certificates;
 * closure: closure generators, closedness and normality probes,
   power-identity certificates;
-* covers: constructive edge covers on paths;
+* covers: maximum dividing edge covers on paths;
 * verify: desk-scale verification harness behind the CLI.
 """
 
@@ -44,7 +44,6 @@ from .graphs import (
     forbidden_pattern_scan,
     graph_from_jsonable,
     graph_to_jsonable,
-    induced_subgraph,
     path_graph,
     pattern_witness,
     star_graph,
@@ -101,7 +100,6 @@ __all__ = [
     "fractional_packing",
     "graph_from_jsonable",
     "graph_to_jsonable",
-    "induced_subgraph",
     "integer_packing",
     "is_integrally_closed",
     "is_normal_up_to",

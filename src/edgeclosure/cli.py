@@ -9,7 +9,8 @@ error (a certificate failed its own self-check).
 Resource caps come from the environment: EDGECLOSURE_BOX_CAP bounds the
 lattice box volume per closure computation (default 10_000_000 points)
 and EDGECLOSURE_TIME_CAP_S bounds wall-clock time per graph (default
-30 seconds).
+30 seconds).  cover refuses a cover of more than MAX_COVER_EDGES
+(1_000_000) edges, a fixed constant, with exit 3.
 """
 from __future__ import annotations
 
@@ -29,7 +30,7 @@ from .closure import (
     scaling_membership,
     verify_power_identity,
 )
-from .covers import PathInstance, extract_cover
+from .covers import MAX_COVER_EDGES, PathInstance, extract_cover
 from .errors import EdgeClosureError, GraphFormatError, ResourceCapError
 from .graphs import (
     PatternKind,
@@ -336,7 +337,11 @@ def build_parser() -> argparse.ArgumentParser:
     add_json(p)
     p.set_defaults(func=_cmd_witness)
 
-    p = sub.add_parser("cover", help="extract a dividing edge multiset from a path instance")
+    cover_help = (
+        "extract a maximum dividing edge multiset from a path instance; "
+        f"a cover of more than {MAX_COVER_EDGES} edges is refused (exit 3)"
+    )
+    p = sub.add_parser("cover", help=cover_help, description=cover_help)
     p.add_argument("instance", help="instance JSON file {'a': [...], 'y': [...]}, or - for stdin")
     add_json(p)
     p.set_defaults(func=_cmd_cover)

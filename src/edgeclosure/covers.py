@@ -6,12 +6,20 @@ vector y_1..y_{n-1} satisfying
     y_1 <= a_1,   y_{i-1} + y_i <= a_i (2 <= i <= n-1),   y_{n-1} <= a_n,
 
 there is a multiset of at least ceil(sum y) path edges whose product of
-edge monomials x_i x_{i+1} divides x^a.  The construction splits a into
-maximal left segments driven by the alternating sums
-b_1 = a_1, b_j = a_j - b_{j-1} and emits explicit edge powers per
-segment; the final segment is resolved by one of four terminal shapes.
-The split rule is leftmost-greedy and ties (a_1 = a_2) take the
-alternating-sum branch, so extraction is deterministic.
+edge monomials x_i x_{i+1} divides x^a.  Such a multiset is a
+b-matching of the path with vertex budgets a, and one left-to-right
+greedy pass finds a maximum one: edge (i, i+1) gets
+
+    x_i = min(a_i - x_{i-1}, a_{i+1}),   x_0 = 0.
+
+The greedy is maximum by exchange: if a maximum x* agrees with it
+before edge i and x*_i < x_i, moving d = x_i - x*_i units from edge
+i+1 (as far as it has them) onto edge i keeps every vertex within its
+budget and does not shrink x*.  The vertex-edge incidence matrix of a
+path is totally unimodular (it is bipartite), so the largest b-matching
+equals the optimum of the packing LP, which is at least sum y; being an
+integer, it is at least ceil(sum y).  The cover therefore meets the
+bound for every feasible y, and y itself is only checked, not used.
 """
 from __future__ import annotations
 
@@ -20,7 +28,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import DimensionMismatchError, InfeasibleInstanceError
+from .errors import DimensionMismatchError, InfeasibleInstanceError, ResourceCapError
+
+MAX_COVER_EDGES = 1_000_000  # largest cover extract_cover will build
 
 Edge = tuple[int, int]
 
@@ -44,8 +54,10 @@ class PathInstance:
             raise DimensionMismatchError(
                 f"y has length {len(self.y)}, expected {self.n - 1}"
             )
-        if any(not isinstance(v, int) or v < 0 for v in self.a):
+        if any(not isinstance(v, int) or isinstance(v, bool) or v < 0 for v in self.a):
             raise ValueError("vertex exponents must be non-negative integers")
+        if any(not isinstance(v, (int, Fraction)) or isinstance(v, bool) for v in self.y):
+            raise ValueError("edge values must be int or Fraction")
         object.__setattr__(self, "y", tuple(Fraction(v) for v in self.y))
         if any(v < 0 for v in self.y):
             raise ValueError("edge values must be non-negative")
@@ -75,92 +87,27 @@ def first_violated_inequality(
     return None
 
 
-def _alternating_sums(seg: Sequence[int]) -> list[int]:
-    """b_1 = a_1, b_j = a_j - b_(j-1); meaningful while a_j >= b_(j-1)."""
-    out = [seg[0]]
-    for v in seg[1:]:
-        out.append(v - out[-1])
-    return out
-
-
-def _terminal_form(seg: Sequence[int]) -> list[tuple[int, int]] | None:
-    """Edge multiplicities for a final segment, or None when none applies.
-
-    The four terminal shapes, tried in a fixed order:
-      1. alternating sums stay dominated through the last entry;
-      2. as 1 but the last entry drops below its alternating bound;
-      3. even length with every odd entry >= its successor;
-      4. odd length with that domination on the leading pairs.
-    Edges are (local_index, multiplicity) with local 1-based positions.
-    """
-    L = len(seg)
-    if L == 1:
-        return []
-    b = _alternating_sums(seg)
-    if all(seg[j] >= b[j - 1] for j in range(1, L)):
-        return [(j, b[j - 1]) for j in range(1, L)]
-    if (
-        all(seg[j] >= b[j - 1] for j in range(1, L - 1))
-        and seg[L - 1] <= b[L - 2]
-    ):
-        return [(j, b[j - 1]) for j in range(1, L - 1)] + [(L - 1, seg[L - 1])]
-    if L % 2 == 0 and all(seg[2 * i] >= seg[2 * i + 1] for i in range(L // 2)):
-        return [(2 * i + 1, seg[2 * i + 1]) for i in range(L // 2)]
-    if L % 2 == 1 and all(
-        seg[2 * i] >= seg[2 * i + 1] for i in range((L - 1) // 2)
-    ):
-        return [(2 * i + 1, seg[2 * i + 1]) for i in range((L - 1) // 2)]
-    return None
-
-
-def _split_point(seg: Sequence[int]) -> tuple[int, list[tuple[int, int]]]:
-    """Length s of the leading non-final segment and its edge powers.
-
-    Called only when no terminal form applies, which forces a proper
-    split to exist: either the leading run of pairwise dominations
-    breaks (a_1 > a_2) or the alternating sums overtake some a_s
-    (a_1 <= a_2).
-    """
-    L = len(seg)
-    if seg[0] > seg[1]:
-        t = 0
-        while 2 * t + 1 < L and seg[2 * t] >= seg[2 * t + 1]:
-            t += 1
-        s = 2 * t
-        assert 2 <= s < L
-        return s, [(2 * i + 1, seg[2 * i + 1]) for i in range(t)]
-    b = _alternating_sums(seg)
-    s = None
-    for j in range(2, L):
-        if seg[j - 1] <= b[j - 2]:
-            s = j
-            break
-    assert s is not None and s < L
-    return s, [(j, b[j - 1]) for j in range(1, s - 1)] + [(s - 1, seg[s - 1])]
-
-
 def extract_cover(inst: PathInstance) -> tuple[Edge, ...]:
-    """A multiset of path edges of size >= ceil(sum y) dividing x^a.
+    """A maximum multiset of path edges dividing x^a, of size >= ceil(sum y).
 
     Returned as a lexicographically sorted tuple of (i, i+1) pairs with
-    repetitions.  Divisibility and the size bound are re-verified before
-    returning.
+    repetitions.  Raises ResourceCapError, before building anything,
+    when the cover would have more than MAX_COVER_EDGES edges.
+    Divisibility and the size bound are re-verified before returning.
     """
+    mults = []
+    prev = 0
+    for i in range(inst.n - 1):
+        prev = min(inst.a[i] - prev, inst.a[i + 1])
+        mults.append(prev)
+    size = sum(mults)
+    if size > MAX_COVER_EDGES:
+        raise ResourceCapError(
+            f"cover of {size} edges exceeds the cap of {MAX_COVER_EDGES}"
+        )
     edges: list[Edge] = []
-    offset = 0
-    rest = list(inst.a)
-    while rest:
-        terminal = _terminal_form(rest)
-        if terminal is not None:
-            for local, mult in terminal:
-                edges.extend([(offset + local, offset + local + 1)] * mult)
-            break
-        s, emitted = _split_point(rest)
-        for local, mult in emitted:
-            edges.extend([(offset + local, offset + local + 1)] * mult)
-        offset += s
-        rest = rest[s:]
-    edges.sort()
+    for i, mult in enumerate(mults, 1):
+        edges.extend([(i, i + 1)] * mult)
     _verify_cover(inst, edges)
     return tuple(edges)
 

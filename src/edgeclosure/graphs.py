@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import GraphFormatError
 from .ideals import ExponentVector, MonomialIdeal
@@ -109,27 +109,6 @@ def edge_ideal(g: WeightedGraph) -> MonomialIdeal:
         vec[v - 1] = w
         gens.append(tuple(vec))
     return MonomialIdeal(g.n, gens)
-
-
-def induced_subgraph(
-    g: WeightedGraph, vertices: Iterable[int]
-) -> tuple[WeightedGraph, tuple[int, ...]]:
-    """Induced subgraph on the given vertices, relabeled 1..|A|.
-
-    Returns the subgraph together with the label map: entry i-1 is the
-    original vertex that became vertex i.
-    """
-    order = tuple(sorted(set(vertices)))
-    for v in order:
-        if not 1 <= v <= g.n:
-            raise ValueError(f"vertex {v} out of range for n={g.n}")
-    relabel = {old: new for new, old in enumerate(order, 1)}
-    edges = tuple(
-        (relabel[u], relabel[v], w)
-        for u, v, w in g.edges
-        if u in relabel and v in relabel
-    )
-    return WeightedGraph(len(order), edges), order
 
 
 def forbidden_pattern_scan(g: WeightedGraph) -> PatternWitness | None:

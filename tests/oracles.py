@@ -11,10 +11,12 @@ import itertools
 import math
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from edgeclosure.closure import generator_box
+from edgeclosure.covers import PathInstance, _verify_cover
 from edgeclosure.errors import ResourceCapError
+from edgeclosure.graphs import WeightedGraph
 from edgeclosure.ideals import ExponentVector, MonomialIdeal, as_exponent_vector, minimalize
 from edgeclosure.packing import (
     MembershipCertificate,
@@ -337,3 +339,119 @@ def find_cover_bruteforce(
         if all(u <= b for u, b in zip(used, a)):
             return combo
     return None
+
+
+def _alternating_sums(seg: Sequence[int]) -> list[int]:
+    """b_1 = a_1, b_j = a_j - b_(j-1); meaningful while a_j >= b_(j-1)."""
+    out = [seg[0]]
+    for v in seg[1:]:
+        out.append(v - out[-1])
+    return out
+
+
+def _terminal_form(seg: Sequence[int]) -> list[tuple[int, int]] | None:
+    """Edge multiplicities for a final segment, or None when none applies.
+
+    The four terminal shapes, tried in a fixed order:
+      1. alternating sums stay dominated through the last entry;
+      2. as 1 but the last entry drops below its alternating bound;
+      3. even length with every odd entry >= its successor;
+      4. odd length with that domination on the leading pairs.
+    Edges are (local_index, multiplicity) with local 1-based positions.
+    """
+    L = len(seg)
+    if L == 1:
+        return []
+    b = _alternating_sums(seg)
+    if all(seg[j] >= b[j - 1] for j in range(1, L)):
+        return [(j, b[j - 1]) for j in range(1, L)]
+    if (
+        all(seg[j] >= b[j - 1] for j in range(1, L - 1))
+        and seg[L - 1] <= b[L - 2]
+    ):
+        return [(j, b[j - 1]) for j in range(1, L - 1)] + [(L - 1, seg[L - 1])]
+    if L % 2 == 0 and all(seg[2 * i] >= seg[2 * i + 1] for i in range(L // 2)):
+        return [(2 * i + 1, seg[2 * i + 1]) for i in range(L // 2)]
+    if L % 2 == 1 and all(
+        seg[2 * i] >= seg[2 * i + 1] for i in range((L - 1) // 2)
+    ):
+        return [(2 * i + 1, seg[2 * i + 1]) for i in range((L - 1) // 2)]
+    return None
+
+
+def _split_point(seg: Sequence[int]) -> tuple[int, list[tuple[int, int]]]:
+    """Length s of the leading non-final segment and its edge powers.
+
+    Called only when no terminal form applies, which forces a proper
+    split to exist: either the leading run of pairwise dominations
+    breaks (a_1 > a_2) or the alternating sums overtake some a_s
+    (a_1 <= a_2).
+    """
+    L = len(seg)
+    if seg[0] > seg[1]:
+        t = 0
+        while 2 * t + 1 < L and seg[2 * t] >= seg[2 * t + 1]:
+            t += 1
+        s = 2 * t
+        assert 2 <= s < L
+        return s, [(2 * i + 1, seg[2 * i + 1]) for i in range(t)]
+    b = _alternating_sums(seg)
+    s = None
+    for j in range(2, L):
+        if seg[j - 1] <= b[j - 2]:
+            s = j
+            break
+    assert s is not None and s < L
+    return s, [(j, b[j - 1]) for j in range(1, s - 1)] + [(s - 1, seg[s - 1])]
+
+
+def extract_cover_by_segments(inst: PathInstance) -> tuple[Edge, ...]:
+    """A multiset of path edges of size >= ceil(sum y) dividing x^a.
+
+    Reference for `extract_cover`: a is split into left segments driven
+    by the alternating sums b_1 = a_1, b_j = a_j - b_(j-1), and the last
+    segment takes one of four terminal shapes.  The greedy must return
+    the same tuple.
+
+    Returned as a lexicographically sorted tuple of (i, i+1) pairs with
+    repetitions.  Divisibility and the size bound are re-verified before
+    returning.
+    """
+    edges: list[Edge] = []
+    offset = 0
+    rest = list(inst.a)
+    while rest:
+        terminal = _terminal_form(rest)
+        if terminal is not None:
+            for local, mult in terminal:
+                edges.extend([(offset + local, offset + local + 1)] * mult)
+            break
+        s, emitted = _split_point(rest)
+        for local, mult in emitted:
+            edges.extend([(offset + local, offset + local + 1)] * mult)
+        offset += s
+        rest = rest[s:]
+    edges.sort()
+    _verify_cover(inst, edges)
+    return tuple(edges)
+
+
+def induced_subgraph(
+    g: WeightedGraph, vertices: Iterable[int]
+) -> tuple[WeightedGraph, tuple[int, ...]]:
+    """Induced subgraph on the given vertices, relabeled 1..|A|.
+
+    Returns the subgraph together with the label map: entry i-1 is the
+    original vertex that became vertex i.
+    """
+    order = tuple(sorted(set(vertices)))
+    for v in order:
+        if not 1 <= v <= g.n:
+            raise ValueError(f"vertex {v} out of range for n={g.n}")
+    relabel = {old: new for new, old in enumerate(order, 1)}
+    edges = tuple(
+        (relabel[u], relabel[v], w)
+        for u, v, w in g.edges
+        if u in relabel and v in relabel
+    )
+    return WeightedGraph(len(order), edges), order

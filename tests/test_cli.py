@@ -157,6 +157,15 @@ class TestCover:
         assert err.startswith("input error:")
         assert "Traceback" not in err
 
+    def test_cover_over_size_cap_exits_three(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(edgeclosure.covers, "MAX_COVER_EDGES", 5)
+        inst = tmp_path / "inst.json"
+        inst.write_text(json.dumps({"a": [3, 6, 3], "y": [3, 3]}))
+        assert main(["cover", str(inst), "--json"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("resource cap exceeded:")
+
     def test_boolean_in_a_is_input_error(self, tmp_path, capsys):
         inst = tmp_path / "inst.json"
         inst.write_text(json.dumps({"a": [True, 2, 1], "y": ["1", "1"]}))

@@ -18,7 +18,6 @@ from edgeclosure.graphs import (
     WeightedGraph,
     cycle_graph,
     edge_ideal,
-    induced_subgraph,
     path_graph,
 )
 from edgeclosure.ideals import MonomialIdeal, divides, member, minimalize, power
@@ -29,7 +28,7 @@ from edgeclosure.packing import (
 )
 
 from conftest import random_proper_ideal
-from oracles import closure_generators_bruteforce, sweep_point_by_point
+from oracles import closure_generators_bruteforce, induced_subgraph, sweep_point_by_point
 
 PAIR = MonomialIdeal(3, [(2, 2, 0), (0, 2, 2)])
 TRIANGLE = MonomialIdeal(3, [(2, 2, 0), (0, 2, 2), (2, 0, 2)])

@@ -1,19 +1,25 @@
 import math
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
+from edgeclosure import covers
 from edgeclosure.covers import (
     PathInstance,
     extract_cover,
     first_violated_inequality,
 )
-from edgeclosure.errors import DimensionMismatchError, InfeasibleInstanceError
+from edgeclosure.errors import (
+    DimensionMismatchError,
+    InfeasibleInstanceError,
+    ResourceCapError,
+)
 from edgeclosure.graphs import edge_ideal, path_graph
 from edgeclosure.packing import fractional_packing
 
-from oracles import find_cover_bruteforce
+from oracles import _alternating_sums, extract_cover_by_segments, find_cover_bruteforce
 
 
 def make_instance(n, a, y):
@@ -76,6 +82,42 @@ class TestValidation:
         with pytest.raises(ValueError):
             make_instance(1, (1,), ())
 
+    @pytest.mark.parametrize(
+        "a, y",
+        [
+            ((True, True), (Fraction(1),)),
+            ((1, False), (Fraction(0),)),
+            ((1, 1), (0.1,)),
+            ((1, 1), (1.0,)),
+            ((1, 1), (True,)),
+            ((2, 2, 2), (Fraction(1), False)),
+        ],
+        ids=["bool-a", "bool-a-zero", "float-y", "integral-float-y", "bool-y", "bool-y-zero"],
+    )
+    def test_inexact_entries_rejected(self, a, y):
+        with pytest.raises(ValueError):
+            PathInstance(len(a), a, y)
+
+    def test_int_and_fraction_entries_accepted(self):
+        inst = PathInstance(3, (1, 2, 1), (1, Fraction(1, 2)))
+        assert inst.y == (Fraction(1), Fraction(1, 2))
+
+
+class TestSizeCap:
+    def test_cover_over_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(covers, "MAX_COVER_EDGES", 5)
+        inst = make_instance(3, (3, 6, 3), (3, 3))
+        with pytest.raises(ResourceCapError, match="6 edges"):
+            extract_cover(inst)
+
+    def test_cover_at_cap_is_built(self, monkeypatch):
+        monkeypatch.setattr(covers, "MAX_COVER_EDGES", 6)
+        inst = make_instance(3, (3, 6, 3), (3, 3))
+        assert extract_cover(inst) == ((1, 2),) * 3 + ((2, 3),) * 3
+
+    def test_default_cap(self):
+        assert covers.MAX_COVER_EDGES == 1_000_000
+
 
 class TestProperties:
     def test_divisibility_and_cardinality(self):
@@ -124,8 +166,6 @@ class TestProperties:
 
     def test_alternating_segment_recurrence(self):
         # inside a leading alternating segment, consecutive sums return a_j
-        from edgeclosure.covers import _alternating_sums
-
         rng = random.Random(5)
         for _ in range(100):
             seg = [rng.randint(0, 6) for _ in range(rng.randint(2, 8))]
@@ -133,3 +173,17 @@ class TestProperties:
             assert b[0] == seg[0]
             for j in range(1, len(seg)):
                 assert b[j] + b[j - 1] == seg[j]
+
+    def test_matches_segment_construction_exhaustively(self):
+        for n in range(2, 7):
+            for a in product(range(5), repeat=n):
+                inst = make_instance(n, a, (0,) * (n - 1))
+                assert extract_cover(inst) == extract_cover_by_segments(inst), a
+
+    def test_cover_is_maximum(self):
+        rng = random.Random(31)
+        for _ in range(200):
+            n = rng.randint(2, 6)
+            a = tuple(rng.randint(0, 4) for _ in range(n))
+            edges = extract_cover(make_instance(n, a, (0,) * (n - 1)))
+            assert find_cover_bruteforce(a, len(edges) + 1) is None, a

@@ -13,13 +13,14 @@ from edgeclosure.graphs import (
     forbidden_pattern_scan,
     graph_from_jsonable,
     graph_to_jsonable,
-    induced_subgraph,
     path_graph,
     pattern_witness,
     star_graph,
 )
 from edgeclosure.ideals import member, power
 from edgeclosure.packing import fractional_packing
+
+from oracles import induced_subgraph
 
 
 class TestEdgeIdeal:
