@@ -9,8 +9,9 @@ error (a certificate failed its own self-check).
 Resource caps come from the environment: EDGECLOSURE_BOX_CAP bounds the
 lattice box volume per closure computation (default 10_000_000 points)
 and EDGECLOSURE_TIME_CAP_S bounds wall-clock time per graph (default
-30 seconds).  cover refuses a cover of more than MAX_COVER_EDGES
-(1_000_000) edges, a fixed constant, with exit 3.
+30 seconds); a cap that is not a positive number is an input error.
+cover refuses a cover of more than MAX_COVER_EDGES (1_000_000) edges,
+a fixed constant, with exit 3.
 """
 from __future__ import annotations
 
@@ -19,7 +20,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, is_dataclass
 from fractions import Fraction
 
 from .closure import (
@@ -40,6 +40,7 @@ from .graphs import (
     graph_from_jsonable,
     graph_to_jsonable,
     pattern_witness,
+    to_jsonable,
 )
 from .ideals import member
 from .packing import fractional_packing
@@ -60,37 +61,34 @@ _PATTERN_NAMES = {
 }
 
 
+def _positive_env(name: str, parse, default):
+    """A cap from the environment; one that is not a positive number is an input error."""
+    raw = os.environ.get(name)
+    if raw is None:
+        return default
+    try:
+        value = parse(raw)
+        if value > 0:  # false for nan
+            return value
+    except ValueError:
+        pass
+    raise ValueError(f"{name} must be a positive number, got {raw!r}")
+
+
 def _box_cap() -> int:
-    return int(os.environ.get("EDGECLOSURE_BOX_CAP", DEFAULT_BOX_CAP))
+    return _positive_env("EDGECLOSURE_BOX_CAP", int, DEFAULT_BOX_CAP)
 
 
 def _time_cap() -> float:
-    return float(os.environ.get("EDGECLOSURE_TIME_CAP_S", DEFAULT_TIME_CAP_S))
+    return _positive_env("EDGECLOSURE_TIME_CAP_S", float, DEFAULT_TIME_CAP_S)
 
 
 def _deadline() -> float:
     return time.monotonic() + _time_cap()
 
 
-def _jsonable(obj):
-    """Recursively convert package values to JSON-safe structures."""
-    if isinstance(obj, Fraction):
-        return str(obj)
-    if isinstance(obj, PatternKind):
-        return obj.value
-    if isinstance(obj, WeightedGraph):
-        return graph_to_jsonable(obj)
-    if is_dataclass(obj) and not isinstance(obj, type):
-        return {k: _jsonable(v) for k, v in asdict(obj).items()}
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
-
-
 def _emit_json(payload) -> None:
-    print(json.dumps(_jsonable(payload), indent=2, sort_keys=True))
+    print(json.dumps(to_jsonable(payload), indent=2, sort_keys=True))
 
 
 def _load_json(path: str):
@@ -233,9 +231,7 @@ def _cmd_cover(args) -> int:
     if not isinstance(data, dict) or "a" not in data or "y" not in data:
         raise GraphFormatError("cover instance needs fields 'a' and 'y'")
     a = data["a"]
-    if not isinstance(a, list) or any(
-        not isinstance(v, int) or isinstance(v, bool) for v in a
-    ):
+    if not isinstance(a, list):
         raise GraphFormatError("'a' must be a list of integers")
     if not isinstance(data["y"], list):
         raise GraphFormatError("'y' must be a list of integers or 'p/q' strings")

@@ -6,11 +6,17 @@ The ideal fails to be integrally closed exactly when the graph contains
 one of three induced patterns built from heavy edges (weight >= 2): a
 heavy path on three vertices, a heavy pair of disjoint edges with no
 connection, or a fully heavy triangle.
+
+`WeightedGraph` alone validates a graph: it checks the edges in input
+order, names the offending `edges[i]`, then stores them sorted.  The
+JSON reader checks only the JSON shape.  `to_jsonable` converts package
+values to JSON.
 """
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, is_dataclass
+from fractions import Fraction
 from typing import Sequence
 
 from .errors import GraphFormatError
@@ -25,13 +31,6 @@ class PatternKind(enum.Enum):
     HEAVY_P3 = "heavy_p3"
     HEAVY_2K2 = "heavy_2k2"
     HEAVY_TRIANGLE = "heavy_triangle"
-
-
-_KIND_ORDER = {
-    PatternKind.HEAVY_P3: 0,
-    PatternKind.HEAVY_2K2: 1,
-    PatternKind.HEAVY_TRIANGLE: 2,
-}
 
 
 @dataclass(frozen=True)
@@ -57,17 +56,27 @@ class WeightedGraph:
     edges: tuple[tuple[int, int, int], ...]
 
     def __post_init__(self):
-        if self.n < 0:
-            raise ValueError("vertex count must be >= 0")
-        seen = set()
-        for u, v, w in self.edges:
-            if not (1 <= u < v <= self.n):
-                raise ValueError(f"edge ({u},{v}) out of range for n={self.n}")
-            if (u, v) in seen:
-                raise ValueError(f"duplicate edge ({u},{v})")
-            if not isinstance(w, int) or w < 1:
-                raise ValueError(f"edge ({u},{v}) has invalid weight {w!r}")
-            seen.add((u, v))
+        # `type(x) is int` rejects bools; messages are built only on failure.
+        if type(self.n) is not int or self.n < 0:
+            raise ValueError(f"'n' must be a non-negative integer, got {self.n!r}")
+        first_index: dict[tuple[int, int], int] = {}
+        for idx, (u, v, w) in enumerate(self.edges):
+            if not (type(u) is type(v) is type(w) is int):
+                field = next(f for f, x in zip("uvw", (u, v, w)) if type(x) is not int)
+                raise ValueError(f"edges[{idx}]: field '{field}' must be an integer")
+            if u == v:
+                raise ValueError(f"edges[{idx}]: loop ({u},{v}) not allowed")
+            if u > v:
+                raise ValueError(f"edges[{idx}]: reversed edge ({u},{v}); vertices must satisfy u < v")
+            if u < 1 or v > self.n:
+                raise ValueError(f"edges[{idx}]: edge ({u},{v}) out of range for n={self.n}")
+            if w < 1:
+                raise ValueError(f"edges[{idx}]: weight must be >= 1, got {w}")
+            if (u, v) in first_index:
+                raise ValueError(
+                    f"edges[{idx}]: duplicate of edges[{first_index[(u, v)]}] for pair ({u},{v})"
+                )
+            first_index[(u, v)] = idx
         object.__setattr__(self, "edges", tuple(sorted(self.edges)))
 
     def heavy_edges(self) -> tuple[tuple[int, int, int], ...]:
@@ -163,7 +172,8 @@ def forbidden_pattern_scan(g: WeightedGraph) -> PatternWitness | None:
                     )
     if not candidates:
         return None
-    return min(candidates, key=lambda c: (_KIND_ORDER[c.kind], c.vertices))
+    rank = list(PatternKind).index
+    return min(candidates, key=lambda c: (rank(c.kind), c.vertices))
 
 
 def pattern_witness(
@@ -203,44 +213,45 @@ def graph_to_jsonable(g: WeightedGraph) -> dict:
     }
 
 
+def to_jsonable(obj):
+    """Recursively convert package values to JSON-safe structures."""
+    if isinstance(obj, Fraction):
+        return str(obj)
+    if isinstance(obj, PatternKind):
+        return obj.value
+    if isinstance(obj, WeightedGraph):
+        return graph_to_jsonable(obj)
+    if is_dataclass(obj) and not isinstance(obj, type):
+        return {k: to_jsonable(v) for k, v in asdict(obj).items()}
+    if isinstance(obj, dict):
+        return {k: to_jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [to_jsonable(v) for v in obj]
+    return obj
+
+
 def graph_from_jsonable(data: object) -> WeightedGraph:
-    """Parse the graph JSON shape, rejecting malformed input with position info."""
+    """Read the graph JSON shape; WeightedGraph checks everything else.
+
+    A shape error, or the constructor's ValueError, is raised as a
+    GraphFormatError naming the offending position `edges[i]`.
+    """
     if not isinstance(data, dict):
         raise GraphFormatError("graph must be a JSON object")
     if "n" not in data:
         raise GraphFormatError("missing field 'n'")
-    n = data["n"]
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise GraphFormatError(f"'n' must be a non-negative integer, got {n!r}")
     raw_edges = data.get("edges", [])
     if not isinstance(raw_edges, list):
         raise GraphFormatError("'edges' must be a list")
-    seen: dict[tuple[int, int], int] = {}
     edges = []
     for idx, item in enumerate(raw_edges):
-        where = f"edges[{idx}]"
         if not isinstance(item, dict):
-            raise GraphFormatError(f"{where}: must be an object")
+            raise GraphFormatError(f"edges[{idx}]: must be an object")
         for field in ("u", "v", "w"):
             if field not in item:
-                raise GraphFormatError(f"{where}: missing field '{field}'")
-            if not isinstance(item[field], int) or isinstance(item[field], bool):
-                raise GraphFormatError(f"{where}: field '{field}' must be an integer")
-        u, v, w = item["u"], item["v"], item["w"]
-        if u == v:
-            raise GraphFormatError(f"{where}: loop ({u},{v}) not allowed")
-        if u > v:
-            raise GraphFormatError(
-                f"{where}: reversed edge ({u},{v}); vertices must satisfy u < v"
-            )
-        if not (1 <= u and v <= n):
-            raise GraphFormatError(f"{where}: edge ({u},{v}) out of range for n={n}")
-        if w < 1:
-            raise GraphFormatError(f"{where}: weight must be >= 1, got {w}")
-        if (u, v) in seen:
-            raise GraphFormatError(
-                f"{where}: duplicate of edges[{seen[(u, v)]}] for pair ({u},{v})"
-            )
-        seen[(u, v)] = idx
-        edges.append((u, v, w))
-    return WeightedGraph(n, tuple(edges))
+                raise GraphFormatError(f"edges[{idx}]: missing field '{field}'")
+        edges.append((item["u"], item["v"], item["w"]))
+    try:
+        return WeightedGraph(data["n"], tuple(edges))
+    except ValueError as exc:
+        raise GraphFormatError(str(exc)) from exc

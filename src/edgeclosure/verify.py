@@ -34,6 +34,7 @@ from .graphs import (
     forbidden_pattern_scan,
     path_graph,
     star_graph,
+    to_jsonable,
 )
 
 
@@ -75,18 +76,9 @@ class VerificationRun:
             "violations": list(self.violations),
             "passed": self.passed,
             "records": [
-                {
-                    "key": r.key,
-                    "scan": None
-                    if r.scan is None
-                    else {
-                        "kind": r.scan.kind.value,
-                        "vertices": list(r.scan.vertices),
-                        "weights": list(r.scan.weights),
-                    },
-                    "closed_by_k": [[k, c] for k, c in r.closed_by_k],
-                    "consistent": r.consistent,
-                }
+                to_jsonable(
+                    {"key": r.key, "scan": r.scan, "closed_by_k": r.closed_by_k, "consistent": r.consistent}
+                )
                 for r in self.records
             ],
         }

@@ -1,27 +1,33 @@
-"""The benchmark's tracer must still find every function it binds.
+"""The benchmark must still find every function it binds and build its inputs.
 
 `bench/tracing.py` wraps library functions by name, so renaming or
-deleting one of them breaks the benchmark.  The module is loaded from
-its file: putting `bench/` on sys.path would let `bench/oracles.py`
-shadow `tests/oracles.py`.
+deleting one of them breaks the benchmark; `bench/workloads.py` builds
+graphs and path instances through the library's constructors, so a
+stricter validator can reject them.  The modules are loaded from their
+files: putting `bench/` on sys.path would let `bench/oracles.py` shadow
+`tests/oracles.py`.
 """
 import importlib.util
+import sys
 from pathlib import Path
+
+import pytest
 
 import edgeclosure.closure
 import edgeclosure.packing
 
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
-def _load_tracing():
-    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+
+def _load(name, filename):
+    spec = importlib.util.spec_from_file_location(name, BENCH / filename)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_tracer_installs_and_uninstalls():
-    tracer = _load_tracing().Tracer()
+    tracer = _load("bench_tracing", "tracing.py").Tracer()
     original = edgeclosure.packing.dual_functionals
     tracer.install()
     try:
@@ -31,3 +37,19 @@ def test_tracer_installs_and_uninstalls():
         tracer.uninstall()
     assert edgeclosure.closure.dual_functionals is original
     assert edgeclosure.packing.dual_functionals is original
+
+
+def test_workloads_build_and_warm_up(monkeypatch):
+    # workloads imports its oracles as `oracles`; monkeypatch puts the
+    # tests' module of that name back afterwards.
+    monkeypatch.setitem(sys.modules, "oracles", _load("bench_oracles", "oracles.py"))
+    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "bench_workloads", workloads)  # dataclasses look it up
+    spec.loader.exec_module(workloads)
+    # DeepPowers sets the box cap; setting it first makes monkeypatch restore it.
+    monkeypatch.setenv("EDGECLOSURE_BOX_CAP", str(edgeclosure.closure.DEFAULT_BOX_CAP))
+    for name, cls in workloads.WORKLOADS.items():
+        warm_up = cls(1).run_round(warm_up=True)
+        assert warm_up.attempted > 0, name
+        assert warm_up.failed == 0, name

@@ -280,14 +280,37 @@ class TestErrorsAndCaps:
         assert main(["check", c6_file, "--kmax", "1"]) == 3
         assert "resource cap" in capsys.readouterr().err
 
+    # A one-nanosecond cap has run out by the first deadline check.
     def test_time_cap_exits_three(self, c6_file, capsys, monkeypatch):
-        monkeypatch.setenv("EDGECLOSURE_TIME_CAP_S", "-1")
+        monkeypatch.setenv("EDGECLOSURE_TIME_CAP_S", "1e-9")
         assert main(["check", c6_file, "--kmax", "3"]) == 3
 
     def test_time_cap_reaches_witness_branch_and_bound(self, capsys, monkeypatch):
-        monkeypatch.setenv("EDGECLOSURE_TIME_CAP_S", "-1")
+        monkeypatch.setenv("EDGECLOSURE_TIME_CAP_S", "1e-9")
         assert main(["witness", "--pattern", "p3", "--weights", "2,2"]) == 3
         assert "resource cap" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("EDGECLOSURE_TIME_CAP_S", "nan"),
+            ("EDGECLOSURE_TIME_CAP_S", "-1"),
+            ("EDGECLOSURE_TIME_CAP_S", "0"),
+            ("EDGECLOSURE_TIME_CAP_S", "soon"),
+            ("EDGECLOSURE_BOX_CAP", "0"),
+            ("EDGECLOSURE_BOX_CAP", "-5"),
+            ("EDGECLOSURE_BOX_CAP", "1e7"),
+        ],
+    )
+    def test_cap_that_is_not_positive_is_input_error(
+        self, c6_file, capsys, monkeypatch, name, value
+    ):
+        # A nan time cap never expires, and a cap <= 0 fails every graph.
+        monkeypatch.setenv(name, value)
+        assert main(["check", c6_file, "--kmax", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: {name} must be a positive number")
+        assert "Traceback" not in err
 
     def test_time_cap_holds_on_unit_k10(self, tmp_path):
         # Unit-weight K10 to k = 3 must finish or hit the 2 s cap well

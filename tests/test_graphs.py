@@ -192,6 +192,20 @@ class TestGraphValidation:
         g = WeightedGraph(3, ((2, 3, 1), (1, 2, 2)))
         assert g.edges == ((1, 2, 2), (2, 3, 1))
 
+    @pytest.mark.parametrize(
+        "n, edges, match",
+        [
+            (3, ((1.0, 2, 1),), r"edges\[0\]: field 'u'"),
+            (3, ((1, 2, 1), (2, 3, True)), r"edges\[1\]: field 'w'"),
+            (3, ((1, 2, 1.0),), r"edges\[0\]: field 'w'"),
+            (2.5, (), r"'n' must be a non-negative integer"),
+        ],
+        ids=["float-vertex", "bool-weight", "float-weight", "non-int-n"],
+    )
+    def test_non_integer_fields_rejected(self, n, edges, match):
+        with pytest.raises(ValueError, match=match):
+            WeightedGraph(n, edges)
+
 
 class TestJson:
     def test_round_trip(self):
@@ -229,6 +243,27 @@ class TestJson:
             graph_from_jsonable([1, 2, 3])
         with pytest.raises(GraphFormatError):
             graph_from_jsonable({"edges": []})
+
+    @pytest.mark.parametrize(
+        "n, edges",
+        [
+            (3, [(2, 2, 1)]),
+            (3, [(1, 2, 1), (3, 2, 1)]),
+            (2, [(1, 5, 1)]),
+            (3, [(1, 2, 0)]),
+            (3, [(1, 2, 1), (2, 3, 1), (1, 2, 3)]),
+            (3, [(1, 2, 1), (2, 3, 2.5)]),
+        ],
+        ids=["loop", "reversed", "out-of-range", "zero-weight", "duplicate", "non-integer"],
+    )
+    def test_reader_reports_the_constructor_message(self, n, edges):
+        with pytest.raises(ValueError) as direct:
+            WeightedGraph(n, tuple(edges))
+        data = {"n": n, "edges": [{"u": u, "v": v, "w": w} for u, v, w in edges]}
+        with pytest.raises(GraphFormatError) as parsed:
+            graph_from_jsonable(data)
+        assert str(parsed.value) == str(direct.value)
+        assert f"edges[{len(edges) - 1}]" in str(direct.value)
 
 
 def test_star_constructor_centers_last_vertex():
