@@ -50,7 +50,11 @@ class PatternWitness:
 
 @dataclass(frozen=True)
 class WeightedGraph:
-    """Simple graph on vertices 1..n with positive integer edge weights."""
+    """Simple graph on vertices 1..n with positive integer edge weights.
+
+    Each edge is a (u, v, w) triple, a tuple or a list; edges are stored
+    as tuples, sorted.
+    """
 
     n: int
     edges: tuple[tuple[int, int, int], ...]
@@ -60,7 +64,10 @@ class WeightedGraph:
         if type(self.n) is not int or self.n < 0:
             raise ValueError(f"'n' must be a non-negative integer, got {self.n!r}")
         first_index: dict[tuple[int, int], int] = {}
-        for idx, (u, v, w) in enumerate(self.edges):
+        for idx, edge in enumerate(self.edges):
+            if not isinstance(edge, (tuple, list)) or len(edge) != 3:
+                raise ValueError(f"edges[{idx}]: must be a (u, v, w) triple, got {edge!r}")
+            u, v, w = edge
             if not (type(u) is type(v) is type(w) is int):
                 field = next(f for f, x in zip("uvw", (u, v, w)) if type(x) is not int)
                 raise ValueError(f"edges[{idx}]: field '{field}' must be an integer")
@@ -77,7 +84,7 @@ class WeightedGraph:
                     f"edges[{idx}]: duplicate of edges[{first_index[(u, v)]}] for pair ({u},{v})"
                 )
             first_index[(u, v)] = idx
-        object.__setattr__(self, "edges", tuple(sorted(self.edges)))
+        object.__setattr__(self, "edges", tuple(sorted(map(tuple, self.edges))))
 
     def heavy_edges(self) -> tuple[tuple[int, int, int], ...]:
         return tuple(e for e in self.edges if e[2] >= HEAVY)

@@ -56,6 +56,11 @@ class MonomialIdeal:
     Invariants: generators are pairwise incomparable under componentwise
     <= (an antichain), sorted lexicographically.  An empty generator set
     is the zero ideal; the single zero vector is the unit ideal.
+
+    `_cache` holds what the packing oracles derive from the generators:
+    the dual functionals under "dual_functionals", and the last
+    fractional and integer packing answers under "lp" and "ip", each a
+    single (bound, certificate) pair.  It takes no part in equality.
     """
 
     __slots__ = ("n", "generators", "_cache")

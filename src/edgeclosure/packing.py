@@ -9,8 +9,12 @@ of generators packed under a:
 
 The fractional optimum tells whether x^a lies in the closure of I^k
 (value >= k) and the integer optimum whether x^a lies in I^k itself.
-Both oracles return certificates that are re-verified before release.
-The vertices of the dual program, enumerated once per ideal, let bulk
+Both oracles return certificates that are re-verified when built, and
+each keeps its last certificate on the ideal (`_cache["lp"]` and
+`_cache["ip"]`, one `(bound, certificate)` entry apiece), so the calls
+one query makes on the same bound solve its program once.  Branch and
+bound takes its root relaxation from the fractional oracle.  The
+vertices of the dual program, enumerated once per ideal, let bulk
 scans test closure membership with integer dot products alone.
 """
 from __future__ import annotations
@@ -65,14 +69,20 @@ def fractional_packing(ideal: MonomialIdeal, bound: Sequence[int]) -> Membership
     """Exact rational optimum of the packing program for `bound`.
 
     The program is bounded because every generator has a positive entry,
-    so each y_i is capped by some a_j / M[j][i].
+    so each y_i is capped by some a_j / M[j][i].  The certificate is
+    verified when it is built and kept as the ideal's last LP answer: a
+    repeated call with the same bound returns it without solving again.
     """
     a = _check_query(ideal, bound)
+    cached = ideal._cache.get("lp")
+    if cached is not None and cached[0] == a:
+        return cached[1]
     rows = ideal.exponent_matrix()
     value, y = simplex_maximize([1] * ideal.num_generators, rows, a)
     cert = MembershipCertificate(y=y, value=value, integral=all(v.denominator == 1 for v in y))
     if not verify_certificate(ideal, a, cert):
         raise AssertionError("simplex produced an invalid certificate")
+    ideal._cache["lp"] = (a, cert)
     return cert
 
 
@@ -112,11 +122,12 @@ def _solve_box_lp(
     lower: Sequence[int],
     upper: Sequence[int | None],
 ) -> tuple[Fraction, tuple[Fraction, ...]] | None:
-    """LP over lower <= y (<= upper), M y <= a; None when infeasible.
+    """LP of a branch-and-bound child: lower <= y (<= upper), M y <= a.
 
-    Substituting z = y - lower turns the box into the standard
-    non-negative form; negative shifted rhs means the node is empty
-    because all matrix entries are non-negative.
+    Returns None when the node is infeasible.  The root, with no bounds,
+    is `fractional_packing` itself.  Substituting z = y - lower turns
+    the box into the standard non-negative form; negative shifted rhs
+    means the node is empty because all matrix entries are non-negative.
     """
     m = len(lower)
     shift_rhs = []
@@ -149,19 +160,26 @@ def integer_packing(
     explores nodes in best-bound order, and seeds the incumbent with the
     rounded-down LP solution, which is always feasible here.  More than
     DEFAULT_NODE_CAP nodes raise ResourceCapError, and so does passing
-    `deadline`, checked once per node taken off the heap.
+    `deadline`, checked on entry and once per node taken off the heap.
+    The root relaxation is `fractional_packing(ideal, bound)`, shared with
+    the LP memo.  The certificate is verified when it is built and kept
+    as the ideal's last IP answer: a repeated call with the same bound
+    checks the deadline, then returns it without branching again.
     """
     a = _check_query(ideal, bound)
+    check_deadline(deadline)
+    cached = ideal._cache.get("ip")
+    if cached is not None and cached[0] == a:
+        return cached[1]
     rows = ideal.exponent_matrix()
     m = ideal.num_generators
 
-    root = _solve_box_lp(rows, a, [0] * m, [None] * m)
-    assert root is not None  # y = 0 is always feasible
-    best_y, best_val = _floor_incumbent(root[1])
+    root = fractional_packing(ideal, a)
+    best_y, best_val = _floor_incumbent(root.y)
 
     counter = 0
     heap: list[tuple[Fraction, int, tuple[int, ...], tuple[int | None, ...], tuple[Fraction, ...], Fraction]] = []
-    heapq.heappush(heap, (-root[0], counter, (0,) * m, (None,) * m, root[1], root[0]))
+    heapq.heappush(heap, (-root.value, counter, (0,) * m, (None,) * m, root.y, root.value))
     nodes = 0
     while heap:
         check_deadline(deadline)
@@ -201,6 +219,7 @@ def integer_packing(
     )
     if not verify_certificate(ideal, a, cert):
         raise AssertionError("branch-and-bound produced an invalid certificate")
+    ideal._cache["ip"] = (a, cert)
     return cert
 
 

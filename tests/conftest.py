@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import strategies as st
 
+import edgeclosure.packing
 from edgeclosure.ideals import MonomialIdeal, minimalize
 
 
@@ -38,3 +39,17 @@ def proper_ideals(draw) -> MonomialIdeal:
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(20240811)
+
+
+@pytest.fixture
+def solve_keys(monkeypatch) -> list:
+    """The (rows, rhs) of every packing LP solved while the test runs."""
+    keys = []
+    solve = edgeclosure.packing.simplex_maximize
+
+    def counting(objective, rows, rhs):
+        keys.append((tuple(map(tuple, rows)), tuple(rhs)))
+        return solve(objective, rows, rhs)
+
+    monkeypatch.setattr(edgeclosure.packing, "simplex_maximize", counting)
+    return keys

@@ -3,9 +3,10 @@
 `bench/tracing.py` wraps library functions by name, so renaming or
 deleting one of them breaks the benchmark; `bench/workloads.py` builds
 graphs and path instances through the library's constructors, so a
-stricter validator can reject them.  The modules are loaded from their
-files: putting `bench/` on sys.path would let `bench/oracles.py` shadow
-`tests/oracles.py`.
+stricter validator can reject them.  A `certificates` warm-up round must
+solve no packing LP twice within one operation.  The modules are loaded
+from their files: putting `bench/` on sys.path would let
+`bench/oracles.py` shadow `tests/oracles.py`.
 """
 import importlib.util
 import sys
@@ -39,17 +40,44 @@ def test_tracer_installs_and_uninstalls():
     assert edgeclosure.packing.dual_functionals is original
 
 
-def test_workloads_build_and_warm_up(monkeypatch):
+@pytest.fixture
+def workloads(monkeypatch):
     # workloads imports its oracles as `oracles`; monkeypatch puts the
     # tests' module of that name back afterwards.
     monkeypatch.setitem(sys.modules, "oracles", _load("bench_oracles", "oracles.py"))
     spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, "bench_workloads", workloads)  # dataclasses look it up
-    spec.loader.exec_module(workloads)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "bench_workloads", module)  # dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_workloads_build_and_warm_up(workloads, monkeypatch):
     # DeepPowers sets the box cap; setting it first makes monkeypatch restore it.
     monkeypatch.setenv("EDGECLOSURE_BOX_CAP", str(edgeclosure.closure.DEFAULT_BOX_CAP))
     for name, cls in workloads.WORKLOADS.items():
         warm_up = cls(1).run_round(warm_up=True)
         assert warm_up.attempted > 0, name
         assert warm_up.failed == 0, name
+
+
+def test_certificates_solve_each_program_once_per_operation(workloads, solve_keys):
+    starts = []  # where each operation's solves begin in solve_keys
+
+    def opening(op):
+        def wrapped():
+            starts.append(len(solve_keys))
+            return op()
+        return wrapped
+
+    certificates = workloads.WORKLOADS["certificates"](1)
+    certificates.ops = [opening(op) for op in certificates.ops]
+    warm_up = certificates.run_round(warm_up=True)
+    assert warm_up.failed == 0
+    assert solve_keys
+    ends = starts[1:] + [len(solve_keys)]
+    repeated = [
+        i for i, (lo, hi) in enumerate(zip(starts, ends))
+        if len(set(solve_keys[lo:hi])) != hi - lo
+    ]
+    assert not repeated, f"{len(repeated)} operations solve an LP twice"

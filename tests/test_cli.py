@@ -118,6 +118,33 @@ class TestWitness:
     def test_trivial_weight_rejected(self, capsys):
         assert main(["witness", "--pattern", "p3", "--weights", "1,2"]) == 2
 
+    def test_triangle_makes_four_solves(self, capsys, solve_keys):
+        # The LP of w serves the transcript, scaling's default bound and the
+        # IP root at s = 1; then come one branch-and-bound child and the
+        # root of 2w.  The power identity runs last, after the root of 2w
+        # has taken the LP entry, so it solves the LP of w again.
+        code = main(
+            ["witness", "--pattern", "triangle", "--weights", "2,3,2", "--json"]
+        )
+        assert code == 0
+        assert len(solve_keys) == 4
+        assert len(set(solve_keys)) == 3
+        edges = [{"u": 1, "v": 2, "w": 2}, {"u": 1, "v": 3, "w": 2}, {"u": 2, "v": 3, "w": 3}]
+        expected = {
+            "graph": {"edges": edges, "n": 3},
+            "pattern": "heavy_triangle",
+            "transcript": {
+                "certificate": {"multiplicities": [0, 1, 1], "scale": 2, "slack": [4, 0, 0]},
+                "certificate_verified": True,
+                "lp_value": "1",
+                "member_of_ideal": False,
+                "passed": True,
+                "scaling": {"member": True, "s": 2},
+            },
+            "witness": [4, 1, 1],
+        }
+        assert capsys.readouterr().out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
 
 class TestCover:
     def test_extracts_cover(self, tmp_path, capsys):

@@ -206,6 +206,26 @@ class TestGraphValidation:
         with pytest.raises(ValueError, match=match):
             WeightedGraph(n, edges)
 
+    @pytest.mark.parametrize(
+        "edges, index",
+        [
+            (((1, 2),), 0),
+            (((1, 2, 1), 5), 1),
+            (((1, 2, 1, 1),), 0),
+            (((1, 2, 1), "123"), 1),
+            (((1, 2, 1), None), 1),
+        ],
+        ids=["pair", "int", "four-items", "string", "none"],
+    )
+    def test_edge_that_is_not_a_triple_rejected(self, edges, index):
+        with pytest.raises(ValueError, match=rf"edges\[{index}\]: must be a \(u, v, w\) triple"):
+            WeightedGraph(3, edges)
+
+    def test_list_edges_stored_as_tuples(self):
+        g = WeightedGraph(3, ([2, 3, 1], (1, 2, 2)))
+        assert g.edges == ((1, 2, 2), (2, 3, 1))
+        assert g == WeightedGraph(3, ((1, 2, 2), (2, 3, 1)))
+
 
 class TestJson:
     def test_round_trip(self):

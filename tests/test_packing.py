@@ -1,3 +1,4 @@
+import math
 import random
 import time
 from dataclasses import replace
@@ -7,6 +8,7 @@ from itertools import combinations, product
 import pytest
 from hypothesis import given, settings
 
+from edgeclosure.closure import power_identity_certificate, scaling_membership
 from edgeclosure.errors import ResourceCapError, UnitIdealError, ZeroIdealError
 from edgeclosure.graphs import WeightedGraph, edge_ideal
 from edgeclosure.ideals import MonomialIdeal, member, minimalize, power
@@ -278,3 +280,46 @@ class TestDualFunctionals:
             dual_functionals(k6, deadline=time.monotonic() - 1.0)
         assert "dual_functionals" not in k6._cache
         assert dual_functionals(k6) == dual_functionals_by_bases(k6)
+
+
+class TestMemo:
+    def test_query_solves_each_program_once(self, solve_keys):
+        # LP value 3 with y = (3/2, 3/2), IP value 2: the IP branches, every
+        # k = 1..3 has a power identity, and scaling needs s = 2.
+        ideal = MonomialIdeal(3, [(2, 2, 0), (0, 2, 2)])
+        a = (3, 6, 3)
+        lp = fractional_packing(ideal, a)
+        ip = integer_packing(ideal, a)
+        assert (lp.value, ip.value) == (3, 2)
+        assert fractional_packing(ideal, a) is lp
+        for k in range(1, math.floor(lp.value) + 1):
+            power_identity_certificate(ideal, a, k)
+        result = scaling_membership(ideal, a, math.floor(lp.value), s_max=3)
+        assert (result.member, result.s) == (True, 2)
+        # the root of a, one branch-and-bound child, the root of 2a
+        assert len(solve_keys) == len(set(solve_keys)) == 3
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_alternating_bounds_match_fresh_ideal(self, seed):
+        rng = random.Random(seed)
+        if seed == 0:
+            # the two answers differ, so a memo that ignores its key fails
+            ideal, a, b = MonomialIdeal(3, [(2, 2, 0), (0, 2, 2)]), (1, 4, 1), (2, 4, 2)
+        else:
+            ideal = random_proper_ideal(rng)
+            a, b = (tuple(rng.randint(0, 8) for _ in range(ideal.n)) for _ in range(2))
+        for bound in (a, b, a, b):
+            ip = integer_packing(ideal, bound)
+            lp = fractional_packing(ideal, bound)
+            fresh = MonomialIdeal(ideal.n, ideal.generators)
+            assert lp == fractional_packing(fresh, bound)
+            assert lp.value == fractional_value_by_duality(ideal, bound)
+            assert ip == integer_packing(fresh, bound)
+            assert ip.value == integer_packing_enumerated(ideal, bound).value
+
+    def test_past_deadline_raises_on_cached_bound(self):
+        ideal = MonomialIdeal(3, [(2, 2, 0), (0, 2, 2)])
+        integer_packing(ideal, (1, 4, 1))
+        assert ideal._cache["ip"][0] == (1, 4, 1)
+        with pytest.raises(ResourceCapError):
+            integer_packing(ideal, (1, 4, 1), deadline=time.monotonic() - 1.0)
