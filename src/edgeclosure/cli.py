@@ -181,8 +181,10 @@ def _cmd_witness(args) -> int:
     ideal = edge_ideal(graph)
     in_ideal = member(ideal, w)
     lp = fractional_packing(ideal, w)
-    scaling = scaling_membership(ideal, w, 1, deadline=_deadline())
+    # The certificate comes before scaling, whose s = 2 step replaces the
+    # ideal's LP entry for w: this order solves the LP of w once.
     cert = power_identity_certificate(ideal, w, 1)
+    scaling = scaling_membership(ideal, w, 1, deadline=_deadline())
     cert_ok = verify_power_identity(ideal, w, 1, cert)
     transcript_ok = (not in_ideal) and lp.value >= 1 and scaling.member and cert_ok
     if args.json:

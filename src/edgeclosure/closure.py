@@ -3,14 +3,19 @@
 The exponents of monomials in the closure of I^k form an upward-closed
 set of lattice points whose minimal elements all lie in the box
 a_j <= k * max_i M[j][i] (they are roundings of points in k times the
-convex hull of the generators).  The engine sweeps that box once with
-the integer-scaled dual functionals of the packing LP, extracts the
-minimal elements, and decides closedness by looking those up among the
-sums of k generators.  The sweep computes in int64 when every
-functional value in the box and every threshold k*s stays below 2**62,
-and in Python integers otherwise, so it is exact on every input.  The
-wall-clock deadline is checked inside the dual enumeration and before
-each functional of the sweep.
+convex hull of the generators).  The engine sweeps that box by columns
+along its longest axis: with the integer-scaled dual functionals of the
+packing LP, each column gets the least height at which it enters the
+set, by one ceiling division per functional.  A column's lowest point
+is minimal iff it lies in the box and sits strictly below the lowest
+points of its neighbouring columns a' - e_j, so the sweep holds a few
+entries per column, not per box point.  Closedness is decided by
+looking the minimal elements up among the sums of k generators.  The
+sweep computes in int64 when every functional value in the box and
+every threshold k*s stays below 2**62, and in Python integers (one per
+column) otherwise, so it is exact on every input.  The wall-clock
+deadline is checked inside the dual enumeration and before each
+functional of the sweep.
 """
 from __future__ import annotations
 
@@ -112,7 +117,20 @@ def _sweep(
     k: int,
     deadline: float | None,
 ) -> tuple[ExponentVector, ...]:
-    """Minimal points of the box where every a.w >= k*s, sorted lex."""
+    """Minimal points of the box where every a.w >= k*s, sorted lex.
+
+    The longest axis is the column axis; the grid is spanned by the
+    other axes of length > 1.  Each column gets its height: the least
+    t >= 0 at which every functional holds, which is the maximum over
+    the functionals of ceil((k*s - partial) / w_col), with `partial` the
+    functional on the grid coordinates.  A functional with w_col = 0
+    that fails on the grid puts the column at the top of the box.  The
+    set is an up-set, so the column's lowest point is minimal iff it
+    lies in the box and every grid predecessor a' - e_j has a strictly
+    greater height.  A height at or above the top compares greater than
+    every height in the box, so heights need no clipping.  Memory is a
+    few arrays of one entry per column, not per box point.
+    """
     n = len(shape)
     # int64 is exact when no a.w or k*s in the box reaches 2**62;
     # otherwise the arrays hold Python integers.
@@ -122,33 +140,43 @@ def _sweep(
         for w, s in functionals
     )
     dtype = np.int64 if fits else object
+    col = max(range(n), key=shape.__getitem__)
+    top = shape[col]
     # Only the axes of length > 1 get an array axis: a length-1 axis
     # holds only 0, where w_j * 0 adds nothing.  Each kept axis doubles
-    # the volume at least, so the array has at most log2(volume) axes.
-    axes = [j for j, b in enumerate(shape) if b > 1]
-    sub = tuple(shape[j] for j in axes)
-    d = len(sub)
+    # the volume at least, so the grid has at most log2(volume) axes.
+    axes = [j for j, b in enumerate(shape) if b > 1 and j != col]
+    d = len(axes)
     ramps = [
-        np.arange(b, dtype=dtype).reshape(tuple(b if t == pos else 1 for t in range(d)))
-        for pos, b in enumerate(sub)
+        np.arange(shape[j], dtype=dtype).reshape(
+            tuple(shape[j] if t == pos else 1 for t in range(d))
+        )
+        for pos, j in enumerate(axes)
     ]
-    inside = np.ones(sub, dtype=bool)
+    height = np.zeros(tuple(shape[j] for j in axes), dtype=dtype)
     for w, s in functionals:
         check_deadline(deadline)
         # Broadcasting only over the axes with w_j != 0 keeps the sum
-        # smaller than the box when the functional has zero entries.
-        inside &= sum(w[j] * r for j, r in zip(axes, ramps) if w[j]) >= k * s
-    minimal = inside.copy()
+        # smaller than the grid when the functional has zero entries.
+        partial = sum(w[j] * r for j, r in zip(axes, ramps) if w[j])
+        if w[col]:
+            # ceil((k*s - partial) / w_col) as one floor division
+            least = (k * s + w[col] - 1 - partial) // w[col]
+            np.maximum(height, least, out=height)
+        else:
+            np.maximum(height, np.where(partial < k * s, top, 0), out=height)
+    minimal = height < top
     for pos in range(d):
         src = [slice(None)] * d
         dst = [slice(None)] * d
         src[pos] = slice(0, -1)
         dst[pos] = slice(1, None)
-        minimal[tuple(dst)] &= ~inside[tuple(src)]
+        minimal[tuple(dst)] &= height[tuple(dst)] < height[tuple(src)]
     rows = np.argwhere(minimal)
     points = np.zeros((len(rows), n), np.int64)
     points[:, axes] = rows
-    return tuple(map(tuple, points.tolist()))
+    points[:, col] = height[minimal]
+    return tuple(sorted(map(tuple, points.tolist())))
 
 
 def is_integrally_closed(

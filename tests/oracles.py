@@ -299,7 +299,10 @@ def sweep_point_by_point(
 ) -> tuple[ExponentVector, ...]:
     """The box sweep of `closure._sweep`, one lattice point at a time.
 
-    Same contract as the library sweep, in Python integers throughout.
+    Same contract as the library sweep, in Python integers throughout:
+    it tests every box point against every functional and every
+    coordinate predecessor, where the library computes one least height
+    per column of the longest axis and compares neighbouring columns.
     """
     thresholds = [(w, k * s) for w, s in functionals]
 

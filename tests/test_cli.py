@@ -118,16 +118,15 @@ class TestWitness:
     def test_trivial_weight_rejected(self, capsys):
         assert main(["witness", "--pattern", "p3", "--weights", "1,2"]) == 2
 
-    def test_triangle_makes_four_solves(self, capsys, solve_keys):
-        # The LP of w serves the transcript, scaling's default bound and the
-        # IP root at s = 1; then come one branch-and-bound child and the
-        # root of 2w.  The power identity runs last, after the root of 2w
-        # has taken the LP entry, so it solves the LP of w again.
+    def test_triangle_makes_three_solves(self, capsys, solve_keys):
+        # The LP of w serves the transcript, the power identity, scaling's
+        # default bound and the IP root at s = 1; then come one
+        # branch-and-bound child and the root of 2w.
         code = main(
             ["witness", "--pattern", "triangle", "--weights", "2,3,2", "--json"]
         )
         assert code == 0
-        assert len(solve_keys) == 4
+        assert len(solve_keys) == 3
         assert len(set(solve_keys)) == 3
         edges = [{"u": 1, "v": 2, "w": 2}, {"u": 1, "v": 3, "w": 2}, {"u": 2, "v": 3, "w": 3}]
         expected = {

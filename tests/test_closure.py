@@ -1,4 +1,6 @@
+import math
 import time
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -83,6 +85,52 @@ class TestClosureGenerators:
         assert sweep_point_by_point((4, 4), wide, 1, None) == ((0, 1), (1, 0))
         assert _sweep((4, 4), wide, 1, None) == ((0, 1), (1, 0))
 
+    def test_sweep_column_cases_agree(self):
+        cases = [
+            # the first functional has zero weight on the column axis 1
+            ((3, 5), [((2, 0), 1), ((1, 1), 2), ((1, 2), 3)], 1),
+            # the column axis 0 is not the last axis, so the points are
+            # re-sorted; with w_col = 3 the ceiling and the floor of a
+            # column's height differ here
+            ((7, 3, 3), [((3, 1, 0), 4), ((1, 2, 2), 3)], 2),
+            # a single kept axis leaves a zero-dimensional grid
+            ((1, 5, 1), [((0, 2, 0), 3)], 1),
+            ((1, 5, 1), [((0, 0, 1), 1)], 1),
+            # Python integers, with zero weight on the column axis 1
+            ((3, 4), [((2**62, 0), 2**62), ((1, 1), 3)], 1),
+        ]
+        for shape, fs, k in cases:
+            assert _sweep(shape, fs, k, None) == sweep_point_by_point(
+                shape, fs, k, None
+            ), (shape, fs, k)
+        assert _sweep((3, 4), cases[-1][1], 1, None) == ((1, 2), (2, 1))
+        assert _sweep((7, 3, 3), cases[1][1], 2, None) == (
+            (2, 2, 0), (3, 0, 2), (3, 1, 1), (4, 0, 1), (4, 1, 0), (6, 0, 0)
+        )
+
+    def test_sweep_agrees_with_point_by_point(self, rng):
+        for _ in range(200):
+            ideal = random_proper_ideal(rng, n_max=4, m_max=4, entry_max=3)
+            k = rng.randint(1, 3)
+            shape = tuple(b + 1 for b in generator_box(ideal, k))
+            fs = dual_functionals(ideal)
+            assert _sweep(shape, fs, k, None) == sweep_point_by_point(
+                shape, fs, k, None
+            ), (ideal.generators, k)
+
+    def test_sweep_memory_per_box_point(self):
+        # 3,956,121 box points; the sweep keeps one entry per column
+        ideal = edge_ideal(cycle_graph((2, 1, 3, 1, 4, 1)))
+        volume = math.prod(b + 1 for b in generator_box(ideal, 4))
+        dual_functionals(ideal)
+        tracemalloc.start()
+        try:
+            closure_generators(ideal, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * volume, (peak, volume)
+
     def test_outputs_lie_in_box(self, rng):
         for _ in range(10):
             ideal = random_proper_ideal(rng, n_max=4, m_max=3, entry_max=3)
@@ -103,6 +151,15 @@ class TestClosureGenerators:
     def test_deadline(self):
         with pytest.raises(ResourceCapError):
             closure_generators(PAIR, 1, deadline=time.monotonic() - 1)
+
+    def test_deadline_inside_sweep(self):
+        ideal = MonomialIdeal(3, [(3, 1, 0), (0, 1, 3)])
+        closure_generators(ideal, 1)
+        past = time.monotonic() - 1
+        # cached duals skip their check, so the sweep is what raises
+        assert dual_functionals(ideal, deadline=past)
+        with pytest.raises(ResourceCapError):
+            closure_generators(ideal, 1, deadline=past)
 
 
 class TestIsIntegrallyClosed:
