@@ -14,19 +14,23 @@ looking the minimal elements up among the sums of k generators.  The
 sweep computes in int64 when every functional value in the box and
 every threshold k*s stays below 2**62, and in Python integers (one per
 column) otherwise, so it is exact on every input.  The wall-clock
-deadline is checked inside the dual enumeration and before each
-functional of the sweep.
+deadline is checked inside the dual enumeration, before each functional
+of the sweep and before each round of the k-sum build.
+
+Single queries get a certificate instead: a power identity rescales the
+optimal fractional packing of a to total k and clears its denominators,
+so (x^a)^s lies in I^(s*k) with s its scale, and the scaling search
+tests s = 1, 2, ... with the integer oracle.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from .errors import ResourceCapError
+from .errors import ResourceCapError, check_deadline
 from .ideals import (
     ExponentVector,
     MonomialIdeal,
@@ -35,7 +39,6 @@ from .ideals import (
     generator_sums,
 )
 from .packing import (
-    check_deadline,
     dual_functionals,
     fractional_packing,
     integer_packing,
@@ -197,7 +200,7 @@ def is_integrally_closed(
     # A minimal closure generator a lies in I^k iff it is a sum of k
     # generators: a k-sum dividing a lies in the closure too, so by the
     # minimality of a it equals a.
-    sums = generator_sums(ideal, k)
+    sums = generator_sums(ideal, k, deadline=deadline)
     witness = next((a for a in mins if a not in sums), None)
     return ClosureReport(
         k=k,
@@ -233,45 +236,31 @@ def is_normal_up_to(
     return reports
 
 
-def _rescaled_packing(
-    ideal: MonomialIdeal, vec: ExponentVector, k: int
-) -> tuple[Fraction, tuple[Fraction, ...], int]:
-    """The optimal fractional packing of vec, rescaled to total k.
-
-    Returns the packing value, the packing with components reduced in
-    index order until they sum to k (which keeps M y <= a), and the lcm
-    of that packing's denominators.  Below value k nothing is rescaled:
-    the packing is empty and the lcm is 1.
-    """
-    cert = fractional_packing(ideal, vec)
-    if cert.value < k:
-        return cert.value, (), 1
-    excess = cert.value - k
-    y = []
-    for v in cert.y:
-        cut = min(v, excess)
-        y.append(v - cut)
-        excess -= cut
-    return cert.value, tuple(y), math.lcm(*(v.denominator for v in y))
-
-
 def power_identity_certificate(
     ideal: MonomialIdeal, a: Sequence[int], k: int
 ) -> PowerIdentityCertificate:
     """Constructive witness that x^a lies in the closure of I^k.
 
-    Rescales the optimal fractional packing down to total k, clears
+    Reduces the components of the optimal fractional packing in index
+    order until they sum to k (which keeps M y <= a), clears their
     denominators with their lcm s, and returns the exact identity
     s*a = slack + sum of s*y_i copies of each generator.
     """
     if k < 1:
         raise ValueError(f"power must be >= 1, got {k}")
     vec = as_exponent_vector(a, ideal.n)
-    value, y, scale = _rescaled_packing(ideal, vec, k)
-    if value < k:
+    packing = fractional_packing(ideal, vec)
+    if packing.value < k:
         raise ValueError(
-            f"x^a is not in the closure of I^{k}: packing value {value} < {k}"
+            f"x^a is not in the closure of I^{k}: packing value {packing.value} < {k}"
         )
+    excess = packing.value - k
+    y = []
+    for v in packing.y:
+        cut = min(v, excess)
+        y.append(v - cut)
+        excess -= cut
+    scale = math.lcm(*(v.denominator for v in y))
     mults = tuple(int(v * scale) for v in y)
     used = [0] * ideal.n
     for g, t in zip(ideal.generators, mults):
@@ -319,17 +308,19 @@ def scaling_membership(
     """Search the least s with (x^a)^s in I^(s*k), testing s = 1..s_max.
 
     Each test asks the integer oracle whether s*a packs to value s*k.
-    When s_max is omitted it defaults to the denominator lcm of the
-    rescaled fractional certificate (which guarantees a hit whenever the
-    closure membership holds), errors beyond 64, and falls back to 1
-    when the fractional value is already below k.  `deadline` is passed
-    to every integer oracle call.
+    When s_max is omitted it defaults to the scale of the power identity
+    for (a, k) (which guarantees a hit whenever the closure membership
+    holds), errors beyond 64, and falls back to 1 when the fractional
+    value is already below k.  `deadline` is passed to every integer
+    oracle call.
     """
     if k < 1:
         raise ValueError(f"power must be >= 1, got {k}")
     vec = as_exponent_vector(a, ideal.n)
     if s_max is None:
-        s_max = _rescaled_packing(ideal, vec, k)[2]
+        s_max = 1
+        if fractional_packing(ideal, vec).value >= k:
+            s_max = power_identity_certificate(ideal, vec, k).scale
         if s_max > 64:
             raise ResourceCapError(
                 f"default scaling bound {s_max} exceeds the cap of 64"

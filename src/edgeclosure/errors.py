@@ -1,4 +1,7 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the wall-clock check."""
+from __future__ import annotations
+
+import time
 
 
 class EdgeClosureError(Exception):
@@ -27,3 +30,9 @@ class InfeasibleInstanceError(EdgeClosureError):
 
 class ResourceCapError(EdgeClosureError):
     """A configured resource cap (lattice volume, nodes, wall clock) was hit."""
+
+
+def check_deadline(deadline: float | None) -> None:
+    """Raise ResourceCapError once the monotonic clock passes `deadline`."""
+    if deadline is not None and time.monotonic() > deadline:
+        raise ResourceCapError("wall-clock cap exceeded")

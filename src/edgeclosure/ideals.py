@@ -10,7 +10,7 @@ from __future__ import annotations
 from operator import add
 from typing import Iterable, Sequence
 
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, check_deadline
 
 ExponentVector = tuple[int, ...]
 
@@ -135,16 +135,21 @@ def minimalize(gens: Iterable[Sequence[int]], n: int | None = None) -> MonomialI
     return MonomialIdeal(length, minimal)
 
 
-def generator_sums(ideal: MonomialIdeal, k: int) -> set[ExponentVector]:
+def generator_sums(
+    ideal: MonomialIdeal, k: int, *, deadline: float | None = None
+) -> set[ExponentVector]:
     """The distinct sums of k generators, repetition allowed, k >= 1.
 
     Entries are not range-checked; `minimalize` rejects out-of-range ones.
+    `deadline` is checked before each of the k - 1 rounds of adding one
+    more generator.
     """
     if k < 1:
         raise ValueError(f"power exponent must be >= 1, got {k}")
     gens = ideal.generators
     sums = set(gens)
     for _ in range(k - 1):
+        check_deadline(deadline)
         sums = {tuple(map(add, s, g)) for s in sums for g in gens}
     return sums
 

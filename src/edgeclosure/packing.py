@@ -9,11 +9,13 @@ of generators packed under a:
 
 The fractional optimum tells whether x^a lies in the closure of I^k
 (value >= k) and the integer optimum whether x^a lies in I^k itself.
-Both oracles return certificates that are re-verified when built, and
-each keeps its last certificate on the ideal (`_cache["lp"]` and
-`_cache["ip"]`, one `(bound, certificate)` entry apiece), so the calls
-one query makes on the same bound solve its program once.  Branch and
-bound takes its root relaxation from the fractional oracle.  The
+Both answer through one memo step, `_memoized`: look the bound up in
+the ideal's last answer (`_cache["lp"]` or `_cache["ip"]`, one
+`(bound, certificate)` entry apiece), else solve, verify the
+certificate and keep it, so the calls one query makes on the same
+bound solve its program once.  The simplex solves the fractional
+program; branch and bound takes its root relaxation from the
+fractional oracle.  The
 vertices of the dual program, enumerated once per ideal, let bulk
 scans test closure membership with integer dot products alone.
 """
@@ -21,12 +23,11 @@ from __future__ import annotations
 
 import heapq
 import math
-import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
-from .errors import ResourceCapError, UnitIdealError, ZeroIdealError
+from .errors import ResourceCapError, UnitIdealError, ZeroIdealError, check_deadline
 from .ideals import ExponentVector, MonomialIdeal, as_exponent_vector
 from .simplex import simplex_maximize
 
@@ -54,15 +55,31 @@ def require_proper(ideal: MonomialIdeal) -> None:
         raise UnitIdealError("the unit ideal has no membership program")
 
 
-def check_deadline(deadline: float | None) -> None:
-    """Raise ResourceCapError once the monotonic clock passes `deadline`."""
-    if deadline is not None and time.monotonic() > deadline:
-        raise ResourceCapError("wall-clock cap exceeded")
-
-
 def _check_query(ideal: MonomialIdeal, bound: Sequence[int]) -> ExponentVector:
     require_proper(ideal)
     return as_exponent_vector(bound, ideal.n)
+
+
+def _memoized(
+    ideal: MonomialIdeal,
+    key: str,
+    a: ExponentVector,
+    solve: Callable[..., MembershipCertificate],
+    *args,
+) -> MembershipCertificate:
+    """The ideal's last answer under `key` if it was for `a`, else a new one.
+
+    A new answer is `solve(ideal, a, *args)`, verified before it is kept
+    as the single `(bound, certificate)` entry under `key`.
+    """
+    cached = ideal._cache.get(key)
+    if cached is not None and cached[0] == a:
+        return cached[1]
+    cert = solve(ideal, a, *args)
+    if not verify_certificate(ideal, a, cert):
+        raise AssertionError(f"the {key.upper()} oracle produced an invalid certificate")
+    ideal._cache[key] = (a, cert)
+    return cert
 
 
 def fractional_packing(ideal: MonomialIdeal, bound: Sequence[int]) -> MembershipCertificate:
@@ -73,17 +90,12 @@ def fractional_packing(ideal: MonomialIdeal, bound: Sequence[int]) -> Membership
     verified when it is built and kept as the ideal's last LP answer: a
     repeated call with the same bound returns it without solving again.
     """
-    a = _check_query(ideal, bound)
-    cached = ideal._cache.get("lp")
-    if cached is not None and cached[0] == a:
-        return cached[1]
-    rows = ideal.exponent_matrix()
-    value, y = simplex_maximize([1] * ideal.num_generators, rows, a)
-    cert = MembershipCertificate(y=y, value=value, integral=all(v.denominator == 1 for v in y))
-    if not verify_certificate(ideal, a, cert):
-        raise AssertionError("simplex produced an invalid certificate")
-    ideal._cache["lp"] = (a, cert)
-    return cert
+    return _memoized(ideal, "lp", _check_query(ideal, bound), _solve_lp)
+
+
+def _solve_lp(ideal: MonomialIdeal, a: ExponentVector) -> MembershipCertificate:
+    value, y = simplex_maximize(ideal.exponent_matrix(), a)
+    return MembershipCertificate(y=y, value=value, integral=all(v.denominator == 1 for v in y))
 
 
 def verify_certificate(
@@ -128,27 +140,22 @@ def _solve_box_lp(
     is `fractional_packing` itself.  Substituting z = y - lower turns
     the box into the standard non-negative form; negative shifted rhs
     means the node is empty because all matrix entries are non-negative.
+    Branching keeps lower <= upper, so every span upper - lower is >= 0.
     """
     m = len(lower)
-    shift_rhs = []
+    ext_rows = [list(row) for row in rows]
+    ext_rhs = []
     for j, row in enumerate(rows):
         r = a[j] - sum(row[i] * lower[i] for i in range(m))
         if r < 0:
             return None
-        shift_rhs.append(r)
-    ext_rows = [list(row) for row in rows]
-    ext_rhs = list(shift_rhs)
+        ext_rhs.append(r)
     for i, up in enumerate(upper):
-        if up is None:
-            continue
-        span = up - lower[i]
-        if span < 0:
-            return None
-        ext_rows.append([1 if t == i else 0 for t in range(m)])
-        ext_rhs.append(span)
-    value, z = simplex_maximize([1] * m, ext_rows, ext_rhs)
-    y = tuple(Fraction(lower[i]) + z[i] for i in range(m))
-    return value + sum(lower), y
+        if up is not None:
+            ext_rows.append([1 if t == i else 0 for t in range(m)])
+            ext_rhs.append(up - lower[i])
+    value, z = simplex_maximize(ext_rows, ext_rhs)
+    return value + sum(lower), tuple(Fraction(lower[i]) + z[i] for i in range(m))
 
 
 def integer_packing(
@@ -168,33 +175,36 @@ def integer_packing(
     """
     a = _check_query(ideal, bound)
     check_deadline(deadline)
-    cached = ideal._cache.get("ip")
-    if cached is not None and cached[0] == a:
-        return cached[1]
+    return _memoized(ideal, "ip", a, _branch_and_bound, deadline)
+
+
+def _branch_and_bound(
+    ideal: MonomialIdeal, a: ExponentVector, deadline: float | None
+) -> MembershipCertificate:
     rows = ideal.exponent_matrix()
     m = ideal.num_generators
-
     root = fractional_packing(ideal, a)
-    best_y, best_val = _floor_incumbent(root.y)
-
+    best = [math.floor(v) for v in root.y]
+    best_val = sum(best)
+    # Entries (-bound, insertion count, lower, upper, LP solution): the
+    # count breaks bound ties first in, first out.
     counter = 0
-    heap: list[tuple[Fraction, int, tuple[int, ...], tuple[int | None, ...], tuple[Fraction, ...], Fraction]] = []
-    heapq.heappush(heap, (-root.value, counter, (0,) * m, (None,) * m, root.y, root.value))
+    heap = [(-root.value, counter, (0,) * m, (None,) * m, root.y)]
     nodes = 0
     while heap:
         check_deadline(deadline)
-        neg_bound, _, lower, upper, y, value = heapq.heappop(heap)
+        neg_bound, _, lower, upper, y = heapq.heappop(heap)
         if math.floor(-neg_bound) <= best_val:
             break  # best-bound order: nothing left can beat the incumbent
         nodes += 1
         if nodes > DEFAULT_NODE_CAP:
             raise ResourceCapError(f"branch-and-bound exceeded {DEFAULT_NODE_CAP} nodes")
-        cand_y, cand_val = _floor_incumbent(y)
-        if cand_val > best_val:
-            best_y, best_val = cand_y, cand_val
+        floors = [math.floor(v) for v in y]
+        if sum(floors) > best_val:
+            best, best_val = floors, sum(floors)
         frac_idx = _most_fractional(y)
         if frac_idx is None:
-            continue  # LP solution integral; floor pass above recorded it
+            continue  # LP solution integral; the floors above recorded it
         split = y[frac_idx]
         lo_branch = list(upper)
         lo_branch[frac_idx] = math.floor(split)
@@ -205,27 +215,13 @@ def integer_packing(
             (tuple(hi_branch), upper),
         ):
             sol = _solve_box_lp(rows, a, new_lower, new_upper)
-            if sol is None:
-                continue
-            if math.floor(sol[0]) <= best_val:
+            if sol is None or math.floor(sol[0]) <= best_val:
                 continue
             counter += 1
-            heapq.heappush(
-                heap, (-sol[0], counter, new_lower, new_upper, sol[1], sol[0])
-            )
-
-    cert = MembershipCertificate(
-        y=tuple(Fraction(v) for v in best_y), value=Fraction(best_val), integral=True
+            heapq.heappush(heap, (-sol[0], counter, new_lower, new_upper, sol[1]))
+    return MembershipCertificate(
+        y=tuple(Fraction(v) for v in best), value=Fraction(best_val), integral=True
     )
-    if not verify_certificate(ideal, a, cert):
-        raise AssertionError("branch-and-bound produced an invalid certificate")
-    ideal._cache["ip"] = (a, cert)
-    return cert
-
-
-def _floor_incumbent(y: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
-    floored = tuple(math.floor(v) for v in y)
-    return floored, sum(floored)
 
 
 def _most_fractional(y: Sequence[Fraction]) -> int | None:
@@ -238,8 +234,6 @@ def _most_fractional(y: Sequence[Fraction]) -> int | None:
             best_dist = dist
             best_idx = i
     return best_idx
-
-
 
 
 def dual_functionals(

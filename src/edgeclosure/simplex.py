@@ -1,13 +1,13 @@
 """Exact fraction-free simplex and fraction-free linear solving.
 
-Both solvers compute in Python integers only.  The simplex is
-specialized to the only shape this package needs: maximize c.x subject
-to A x <= b, x >= 0 with integer data and b >= 0, which makes the
-all-slack basis feasible and removes any phase-1 step.  It keeps one
-integer tableau over a common denominator, the last pivot, and divides
-every update exactly by the previous one (Bareiss 1968; Edmonds 1967),
-so optima are exact without any `Fraction` arithmetic until the answer
-is read off.  Bland's rule guarantees termination and makes every solve
+Both solvers compute in Python integers only.  The simplex solves the
+one program this package asks: the packing LP max 1.x subject to
+A x <= b, x >= 0 with integer data and b >= 0, whose all-slack basis
+is feasible, so no phase-1 step is needed.  It keeps one integer
+tableau over a common denominator, the last pivot, and divides every
+update exactly by the previous one (Bareiss 1968; Edmonds 1967), so
+optima are exact without any `Fraction` arithmetic until the answer is
+read off.  Bland's rule guarantees termination and makes every solve
 deterministic.
 """
 from __future__ import annotations
@@ -27,29 +27,29 @@ def _require_ints(values: Sequence[int], what: str) -> None:
 
 
 def simplex_maximize(
-    objective: Sequence[int],
-    rows: Sequence[Sequence[int]],
-    rhs: Sequence[int],
+    rows: Sequence[Sequence[int]], rhs: Sequence[int]
 ) -> tuple[Fraction, tuple[Fraction, ...]]:
-    """Solve max objective.x s.t. rows.x <= rhs, x >= 0 exactly.
+    """Solve max 1.x s.t. rows.x <= rhs, x >= 0 exactly.
 
-    Every entry must be an int (not a bool, float or Fraction), else
-    ValueError; rhs >= 0 componentwise (callers arrange this).  Returns
-    the optimal value and one optimal vertex, both exact.  The pivot
-    choice is Bland's rule: smallest eligible column, then smallest
-    basic variable on ratio ties.
+    The number of variables is the row length; there must be at least
+    one row.  Every entry must be an int (not a bool, float or
+    Fraction), else ValueError; rhs >= 0 componentwise (callers arrange
+    this).  Returns the optimal value and one optimal vertex, both
+    exact.  The pivot choice is Bland's rule: smallest eligible column,
+    then smallest basic variable on ratio ties.
 
     The tableau holds integers T with a common denominator D > 0: the
     true tableau is T / D.  D starts at 1 and becomes the pivot after
     each pivot; pivots are positive, so every sign test on T reads as
     it would on T / D.
     """
-    m = len(objective)
+    if not rows:
+        raise ValueError("at least one constraint row is required")
+    m = len(rows[0])
     n = len(rows)
-    _require_ints(objective, "objective")
     for r in rows:
         if len(r) != m:
-            raise ValueError("constraint row length does not match objective")
+            raise ValueError("constraint rows differ in length")
         _require_ints(r, "constraint")
     if len(rhs) != n:
         raise ValueError("rhs length does not match row count")
@@ -58,12 +58,13 @@ def simplex_maximize(
         raise ValueError("rhs must be componentwise non-negative")
 
     # Tableau columns: m structural vars, n slacks, rhs.  Row n is the
-    # cost row, pivoted like the constraint rows.
+    # cost row, all ones on the structural columns, pivoted like the
+    # constraint rows.
     tab = [
         list(rows[i]) + [int(j == i) for j in range(n)] + [rhs[i]]
         for i in range(n)
     ]
-    tab.append(list(objective) + [0] * (n + 1))
+    tab.append([1] * m + [0] * (n + 1))
     basis = list(range(m, m + n))
     den = 1
 

@@ -47,9 +47,9 @@ def solve_keys(monkeypatch) -> list:
     keys = []
     solve = edgeclosure.packing.simplex_maximize
 
-    def counting(objective, rows, rhs):
+    def counting(rows, rhs):
         keys.append((tuple(map(tuple, rows)), tuple(rhs)))
-        return solve(objective, rows, rhs)
+        return solve(rows, rhs)
 
     monkeypatch.setattr(edgeclosure.packing, "simplex_maximize", counting)
     return keys

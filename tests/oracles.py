@@ -15,12 +15,11 @@ from typing import Iterable, Sequence
 
 from edgeclosure.closure import generator_box
 from edgeclosure.covers import PathInstance, _verify_cover
-from edgeclosure.errors import ResourceCapError
+from edgeclosure.errors import ResourceCapError, check_deadline
 from edgeclosure.graphs import WeightedGraph
 from edgeclosure.ideals import ExponentVector, MonomialIdeal, as_exponent_vector, minimalize
 from edgeclosure.packing import (
     MembershipCertificate,
-    check_deadline,
     dual_functionals,
     fractional_packing,
     require_proper,
@@ -48,9 +47,7 @@ def solve_integer_system(
 
 
 def simplex_maximize_fractions(
-    objective: Sequence[int | Fraction],
-    rows: Sequence[Sequence[int | Fraction]],
-    rhs: Sequence[int | Fraction],
+    rows: Sequence[Sequence[int | Fraction]], rhs: Sequence[int | Fraction]
 ) -> tuple[Fraction, tuple[Fraction, ...]]:
     """`simplex.simplex_maximize` on a tableau of `Fraction`s.
 
@@ -58,11 +55,11 @@ def simplex_maximize_fractions(
     the pivot row normalized and every entry a reduced fraction, so the
     two must return the same optimal value and the same vertex.
     """
-    m = len(objective)
+    m = len(rows[0])
     n = len(rows)
     for r in rows:
         if len(r) != m:
-            raise ValueError("constraint row length does not match objective")
+            raise ValueError("constraint rows differ in length")
     if len(rhs) != n:
         raise ValueError("rhs length does not match row count")
     if any(Fraction(b) < 0 for b in rhs):
@@ -75,7 +72,7 @@ def simplex_maximize_fractions(
         + [Fraction(rhs[i])]
         for i in range(n)
     ]
-    cost = [Fraction(c) for c in objective] + [Fraction(0)] * (n + 1)
+    cost = [Fraction(1)] * m + [Fraction(0)] * (n + 1)
     basis = list(range(m, m + n))
 
     while True:

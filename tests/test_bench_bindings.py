@@ -3,12 +3,14 @@
 `bench/tracing.py` wraps library functions by name, so renaming or
 deleting one of them breaks the benchmark; `bench/workloads.py` builds
 graphs and path instances through the library's constructors, so a
-stricter validator can reject them.  A `certificates` warm-up round must
-solve no packing LP twice within one operation.  The modules are loaded
-from their files: putting `bench/` on sys.path would let
-`bench/oracles.py` shadow `tests/oracles.py`.
+stricter validator can reject them.  One full round of each workload
+must pass the benchmark's own output checks, and a `certificates`
+warm-up round must solve no packing LP twice within one operation.
+The modules are loaded from their files: putting `bench/` on sys.path
+would let `bench/oracles.py` shadow `tests/oracles.py`.
 """
 import importlib.util
+import random
 import sys
 from pathlib import Path
 
@@ -59,6 +61,18 @@ def test_workloads_build_and_warm_up(workloads, monkeypatch):
         warm_up = cls(1).run_round(warm_up=True)
         assert warm_up.attempted > 0, name
         assert warm_up.failed == 0, name
+
+
+@pytest.mark.parametrize("name", ["thm36", "deep-powers", "certificates"])
+def test_full_round_passes_the_benchmark_checks(workloads, monkeypatch, name):
+    # DeepPowers sets the box cap; setting it first makes monkeypatch restore it.
+    monkeypatch.setenv("EDGECLOSURE_BOX_CAP", str(edgeclosure.closure.DEFAULT_BOX_CAP))
+    salt = _load("bench_run", "run.py").CHECK_SEED_SALT
+    workload = workloads.WORKLOADS[name](1)
+    result = workload.run_round()
+    assert result.failed == 0
+    assert result.attempted > 0
+    assert workload.check(result.outputs, random.Random(1 ^ salt)) == []
 
 
 def test_certificates_solve_each_program_once_per_operation(workloads, solve_keys):

@@ -97,6 +97,15 @@ class TestClosure:
         data = json.loads(capsys.readouterr().out)
         assert data["generators"] == [[0, 2, 2], [1, 2, 1], [2, 2, 0]]
 
+    def test_lists_generators_as_text(self, p3_file, capsys):
+        assert main(["closure", p3_file, "-k", "1"]) == 0
+        assert capsys.readouterr().out == (
+            "minimal generators of the closure of I^1:\n"
+            "  (0, 2, 2)\n"
+            "  (1, 2, 1)\n"
+            "  (2, 2, 0)\n"
+        )
+
 
 class TestWitness:
     def test_transcript_passes(self, capsys):
@@ -153,6 +162,12 @@ class TestCover:
         data = json.loads(capsys.readouterr().out)
         assert data["edges"] == [[1, 2], [2, 3]]
         assert data["size"] == 2
+
+    def test_extracts_cover_as_text(self, tmp_path, capsys):
+        inst = tmp_path / "inst.json"
+        inst.write_text(json.dumps({"a": [1, 2, 1], "y": ["1", "1"]}))
+        assert main(["cover", str(inst)]) == 0
+        assert capsys.readouterr().out == "target size: 2\ncover size:  2\nedges: (1,2) (2,3)\n"
 
     def test_fractional_values(self, tmp_path, capsys):
         inst = tmp_path / "inst.json"

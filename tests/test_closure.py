@@ -5,7 +5,9 @@ from itertools import combinations
 
 import pytest
 
+import edgeclosure.closure
 from edgeclosure.closure import (
+    PowerIdentityCertificate,
     _sweep,
     closure_generators,
     generator_box,
@@ -20,6 +22,7 @@ from edgeclosure.graphs import (
     WeightedGraph,
     cycle_graph,
     edge_ideal,
+    forbidden_pattern_scan,
     path_graph,
 )
 from edgeclosure.ideals import MonomialIdeal, divides, member, minimalize, power
@@ -163,6 +166,12 @@ class TestClosureGenerators:
 
 
 class TestIsIntegrallyClosed:
+    def test_deadline_inside_the_sum_build(self, monkeypatch):
+        monkeypatch.setattr(edgeclosure.closure, "closure_generators", lambda *a, **kw: ())
+        # with no sweep, only the build of the k-sums can see the deadline
+        with pytest.raises(ResourceCapError):
+            is_integrally_closed(PAIR, 2, deadline=time.monotonic() - 1)
+
     def test_heavy_path_witness(self):
         report = is_integrally_closed(edge_ideal(path_graph((2, 2))), 1)
         assert not report.closed
@@ -252,6 +261,37 @@ class TestNormality:
         ideal = edge_ideal(cycle_graph((2, 1, 2, 1, 2, 1)))
         assert closure_generators(ideal, 1) == ideal.generators
 
+    @pytest.mark.parametrize(
+        "graph, first_open",
+        [
+            (WeightedGraph(5, ((1, 5, 2), (2, 3, 1), (2, 4, 1), (3, 4, 1))), 2),
+            (WeightedGraph(5, ((1, 2, 1), (1, 5, 2), (2, 3, 1), (2, 4, 1), (3, 4, 1))), None),
+            (WeightedGraph(6, ((1, 2, 1), (1, 3, 1), (2, 3, 1), (4, 5, 1), (4, 6, 1), (5, 6, 1))), 3),
+            (WeightedGraph(7, ((1, 2, 1), (1, 5, 1), (2, 3, 1), (3, 4, 1), (4, 5, 1), (6, 7, 2))), 3),
+            (
+                WeightedGraph(6, (
+                    (1, 3, 1), (1, 5, 1), (2, 3, 2), (2, 4, 1), (2, 5, 2),
+                    (2, 6, 1), (3, 5, 1), (4, 5, 2), (4, 6, 1),
+                )),
+                3,
+            ),
+        ],
+        ids=["triangle-and-heavy-edge", "joined-by-unit-edge", "unit-2K3", "C5-and-heavy-edge",
+             "n6-odd-block-counterexample"],
+    )
+    def test_scan_clean_graphs_outside_the_paper_families(self, graph, first_open):
+        # Scan-clean, and outside the stars, paths and cycles: unless
+        # first_open is None, I^first_open is the first power that is not
+        # closed, with the all-ones monomial in its closure.
+        assert forbidden_pattern_scan(graph) is None
+        reports = is_normal_up_to(edge_ideal(graph), 3)
+        if first_open is None:
+            assert [r.closed for r in reports] == [True, True, True]
+        else:
+            assert [r.k for r in reports] == list(range(1, first_open + 1))
+            assert [r.closed for r in reports[:-1]] == [True] * (first_open - 1)
+            assert reports[-1].witness == (1,) * graph.n
+
 
 class TestScalingMembership:
     def test_witness_needs_square(self):
@@ -278,6 +318,17 @@ class TestScalingMembership:
     def test_past_deadline_raises(self):
         with pytest.raises(ResourceCapError):
             scaling_membership(PAIR, (1, 4, 1), 1, 4, deadline=time.monotonic() - 1.0)
+
+    def test_default_bound_over_64_raises(self):
+        # the packing (64/65, 1/65) of (1, 1) gives the power identity scale 65
+        ideal = MonomialIdeal(2, [(0, 1), (65, 0)])
+        assert power_identity_certificate(ideal, (1, 1), 1).scale == 65
+        with pytest.raises(ResourceCapError):
+            scaling_membership(ideal, (1, 1), 1)
+
+    def test_s_max_below_one_rejected(self):
+        with pytest.raises(ValueError):
+            scaling_membership(PAIR, (1, 4, 1), 1, s_max=0)
 
 
 class TestPowerIdentity:
@@ -312,6 +363,20 @@ class TestPowerIdentity:
             slack=(1,) + cert.slack[1:],
         )
         assert not verify_power_identity(PAIR, (1, 4, 1), 1, bad)
+
+    @pytest.mark.parametrize(
+        "scale, multiplicities, slack",
+        [(0, (0, 0), (0, 0)), (1, (1, 0, 0), (5, 4)), (1, (1, 0), (5, 4, 7)),
+         (1, (2, -1), (6, 3)), (1, (1, 1), (4, 4))],
+        ids=["scale-zero", "multiplicities-length", "slack-length", "negative-multiplicity",
+             "wrong-total"],
+    )
+    def test_verify_rejects_each_broken_condition(self, scale, multiplicities, slack):
+        # Each case breaks one condition and satisfies the slack equation
+        # scale * (5, 5) = slack + sum of multiplicities * generators.
+        ideal = MonomialIdeal(2, [(0, 1), (1, 0)])
+        cert = PowerIdentityCertificate(scale, multiplicities, slack)
+        assert not verify_power_identity(ideal, (5, 5), 1, cert)
 
     def test_soundness_chain_on_closure_generators(self, rng):
         # every claimed closure member is backed by an exact identity

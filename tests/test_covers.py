@@ -78,6 +78,10 @@ class TestValidation:
         msg = first_violated_inequality((0, 5, 5), (Fraction(1), Fraction(1)))
         assert msg == "y[1] = 1 > a[1] = 0"
 
+    def test_last_vertex_violation_reported(self):
+        msg = first_violated_inequality((1, 0), (Fraction(1),))
+        assert msg == "y[1] = 1 > a[2] = 0"
+
     def test_too_short_path(self):
         with pytest.raises(ValueError):
             make_instance(1, (1,), ())

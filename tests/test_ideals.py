@@ -1,11 +1,12 @@
 import random
+import time
 from itertools import combinations_with_replacement, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edgeclosure.errors import DimensionMismatchError
+from edgeclosure.errors import DimensionMismatchError, ResourceCapError
 from edgeclosure.ideals import (
     MonomialIdeal,
     as_exponent_vector,
@@ -119,6 +120,11 @@ class TestPower:
             for combo in combinations_with_replacement(ideal.generators, k)
         }
         assert generator_sums(ideal, k) == expected
+
+    def test_generator_sums_check_the_deadline(self):
+        ideal = MonomialIdeal(2, [(1, 0), (0, 1)])
+        with pytest.raises(ResourceCapError):
+            generator_sums(ideal, 2, deadline=time.monotonic() - 1)
 
     def test_rejects_k_zero(self):
         ideal = MonomialIdeal(2, [(1, 1)])

@@ -8,6 +8,8 @@ from itertools import combinations, product
 import pytest
 from hypothesis import given, settings
 
+import edgeclosure.packing
+
 from edgeclosure.closure import power_identity_certificate, scaling_membership
 from edgeclosure.errors import ResourceCapError, UnitIdealError, ZeroIdealError
 from edgeclosure.graphs import WeightedGraph, edge_ideal
@@ -109,6 +111,23 @@ class TestInteger:
 
     def test_enumeration_bounds_tight(self):
         assert enumeration_bounds(PAIR, (2, 4, 2)) == (1, 1)
+
+    def test_node_cap(self, monkeypatch):
+        # the root LP of (3, 6, 3) is y = (3/2, 3/2): one node to branch on
+        monkeypatch.setattr(edgeclosure.packing, "DEFAULT_NODE_CAP", 0)
+        with pytest.raises(ResourceCapError):
+            integer_packing(PAIR, (3, 6, 3))
+
+    def test_invalid_certificate_fails_the_self_check(self, monkeypatch):
+        verify = edgeclosure.packing.verify_certificate
+        monkeypatch.setattr(
+            edgeclosure.packing,
+            "verify_certificate",
+            lambda ideal, bound, cert: not cert.integral and verify(ideal, bound, cert),
+        )
+        assert not fractional_packing(PAIR, (3, 6, 3)).integral
+        with pytest.raises(AssertionError, match="IP oracle"):
+            integer_packing(PAIR, (3, 6, 3))
 
 
 class TestCertificates:

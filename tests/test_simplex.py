@@ -13,9 +13,9 @@ from edgeclosure.simplex import (
 from oracles import simplex_maximize_fractions, solve_integer_system
 
 
-def _solve(solver, objective, rows, rhs):
+def _solve(solver, rows, rhs):
     try:
-        return solver(objective, rows, rhs)
+        return solver(rows, rhs)
     except UnboundedProgramError:
         return "unbounded"
 
@@ -35,59 +35,57 @@ def packing_lps(draw):
     for i in draw(st.lists(st.integers(0, n - 1), max_size=2)):
         rows.append(list(rows[i]))
         rhs.append(draw(st.sampled_from((rhs[i], 0, 12))))
-    return [1] * m, rows, rhs
+    return rows, rhs
 
 
 @st.composite
 def box_lps(draw):
     """The shape `packing._solve_box_lp` builds: a packing LP over shifted
     right-hand sides plus one unit row y_i <= span per bounded variable."""
-    _, rows, rhs = draw(packing_lps())
+    rows, rhs = draw(packing_lps())
     m = len(rows[0])
     for i, span in draw(st.dictionaries(st.integers(0, m - 1), st.integers(0, 3))).items():
         rows.append([int(t == i) for t in range(m)])
         rhs.append(span)
-    return [1] * m, rows, rhs
+    return rows, rhs
 
 
 class TestSimplex:
     def test_two_variable_polygon(self):
         # max y1 + y2 with 2y1 <= 1, 2y1 + 2y2 <= 4, 2y2 <= 1
-        value, y = simplex_maximize(
-            [1, 1], [[2, 0], [2, 2], [0, 2]], [1, 4, 1]
-        )
+        value, y = simplex_maximize([[2, 0], [2, 2], [0, 2]], [1, 4, 1])
         assert value == 1
         assert y == (Fraction(1, 2), Fraction(1, 2))
 
     def test_single_variable(self):
-        value, y = simplex_maximize([1], [[3]], [7])
+        value, y = simplex_maximize([[3]], [7])
         assert value == Fraction(7, 3)
         assert y == (Fraction(7, 3),)
 
     def test_zero_rhs_pins_solution_at_origin(self):
-        value, y = simplex_maximize([1, 1], [[1, 0], [0, 1]], [0, 0])
+        value, y = simplex_maximize([[1, 0], [0, 1]], [0, 0])
         assert value == 0
         assert y == (Fraction(0), Fraction(0))
 
     def test_unbounded_detected(self):
         with pytest.raises(UnboundedProgramError):
-            simplex_maximize([1, 1], [[1, 0]], [5])
+            simplex_maximize([[1, 0]], [5])
+
+    def test_no_rows_rejected(self):
+        with pytest.raises(ValueError):
+            simplex_maximize([], [])
 
     def test_negative_rhs_rejected(self):
         with pytest.raises(ValueError):
-            simplex_maximize([1], [[1]], [-1])
+            simplex_maximize([[1]], [-1])
 
     def test_deterministic(self):
-        args = ([1, 1, 1], [[2, 1, 0], [0, 1, 2], [1, 1, 1]], [5, 7, 4])
+        args = ([[2, 1, 0], [0, 1, 2], [1, 1, 1]], [5, 7, 4])
         assert simplex_maximize(*args) == simplex_maximize(*args)
 
     def test_degenerate_constraints_terminate(self):
         # redundant and degenerate rows exercise Bland's rule
-        value, y = simplex_maximize(
-            [1, 1],
-            [[1, 1], [1, 1], [2, 2], [1, 0]],
-            [2, 2, 4, 2],
-        )
+        value, y = simplex_maximize([[1, 1], [1, 1], [2, 2], [1, 0]], [2, 2, 4, 2])
         assert value == 2
 
     @settings(max_examples=400, deadline=None)
@@ -96,18 +94,15 @@ class TestSimplex:
     # random draws (about one LP in 15,000, and far fewer once pivots
     # have reordered the basis, as in the last example), so four are
     # pinned here.
-    @example(([1, 1, 1], [[4, 0, 2], [4, 3, 3], [1, 3, 0]], [11, 11, 11]))
-    @example(
-        ([1, 1, 1], [[2, 3, 3], [0, 0, 0], [3, 2, 2], [3, 1, 3], [0, 0, 0]], [9, 0, 10, 10, 0])
-    )
+    @example(([[4, 0, 2], [4, 3, 3], [1, 3, 0]], [11, 11, 11]))
+    @example(([[2, 3, 3], [0, 0, 0], [3, 2, 2], [3, 1, 3], [0, 0, 0]], [9, 0, 10, 10, 0]))
     @example(
         (
-            [1, 1, 1, 1],
             [[2, 1, 1, 1], [0, 0, 4, 0], [2, 0, 2, 3], [0, 0, 4, 0], [0, 0, 4, 0]],
             [2, 0, 2, 0, 0],
         )
     )
-    @example(([1, 1, 1, 1], [[1, 4, 2, 4], [4, 2, 3, 1], [4, 2, 3, 1]], [6, 3, 3]))
+    @example(([[1, 4, 2, 4], [4, 2, 3, 1], [4, 2, 3, 1]], [6, 3, 3]))
     def test_matches_fraction_tableau_on_packing_lps(self, lp):
         assert _solve(simplex_maximize, *lp) == _solve(simplex_maximize_fractions, *lp)
 
@@ -121,15 +116,15 @@ class TestSimplex:
         [Fraction(1, 2), Fraction(2), 1.0, True],
         ids=["half", "two-as-fraction", "float", "bool"],
     )
-    @pytest.mark.parametrize("where", ["objective", "rows", "rhs"])
+    @pytest.mark.parametrize("where", ["rows", "rhs"])
     def test_non_integer_entries_rejected(self, bad, where):
-        args = {"objective": [1, 1], "rows": [[1, 2], [3, 1]], "rhs": [4, 5]}
+        rows, rhs = [[1, 2], [3, 1]], [4, 5]
         if where == "rows":
-            args["rows"][1][0] = bad
+            rows[1][0] = bad
         else:
-            args[where][0] = bad
+            rhs[0] = bad
         with pytest.raises(ValueError):
-            simplex_maximize(args["objective"], args["rows"], args["rhs"])
+            simplex_maximize(rows, rhs)
 
 
 class TestIntegerSystem:
