@@ -21,6 +21,7 @@ import os
 import sys
 import time
 from fractions import Fraction
+from itertools import islice
 
 from .closure import (
     DEFAULT_BOX_CAP,
@@ -88,7 +89,13 @@ def _deadline() -> float:
 
 
 def _emit_json(payload) -> None:
-    print(json.dumps(to_jsonable(payload), indent=2, sort_keys=True))
+    # Streamed in blocks of encoder chunks, so a large payload (a cover
+    # at the edge cap) is never held as one string; joining a block
+    # first saves a write call per chunk.
+    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(to_jsonable(payload))
+    while block := "".join(islice(chunks, 1 << 14)):
+        sys.stdout.write(block)
+    sys.stdout.write("\n")
 
 
 def _load_json(path: str):

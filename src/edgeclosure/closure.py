@@ -13,7 +13,9 @@ entries per column, not per box point.  Closedness is decided by
 looking the minimal elements up among the sums of k generators.  The
 sweep computes in int64 when every functional value in the box and
 every threshold k*s stays below 2**62, and in Python integers (one per
-column) otherwise, so it is exact on every input.  The wall-clock
+column) otherwise, so it is exact on every input.  numpy is imported by
+the sweep itself, on its first call: the certificates below, the
+packing oracles and the pattern scan never load it.  The wall-clock
 deadline is checked inside the dual enumeration, before each functional
 of the sweep and before each round of the k-sum build.
 
@@ -27,8 +29,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Sequence
-
-import numpy as np
 
 from .errors import ResourceCapError, check_deadline
 from .ideals import (
@@ -134,6 +134,8 @@ def _sweep(
     every height in the box, so heights need no clipping.  Memory is a
     few arrays of one entry per column, not per box point.
     """
+    import numpy as np
+
     n = len(shape)
     # int64 is exact when no a.w or k*s in the box reaches 2**62;
     # otherwise the arrays hold Python integers.

@@ -71,15 +71,15 @@ class MonomialIdeal:
         gens = sorted(as_exponent_vector(g, n) for g in generators)
         if len(gens) != len(set(gens)):
             raise ValueError("duplicate generators")
-        # Sorted and distinct, so no vector divides one before it.
+        # Sorted and distinct, so no vector divides one before it.  A
+        # zero vector sorts first and divides every other generator, so
+        # this check also keeps it to the unit ideal.
         for i, d in enumerate(gens):
             for a in gens[i + 1:]:
                 if divides(d, a):
                     raise ValueError(
                         f"generators are not an antichain: {d} vs {a}"
                     )
-        if any(not any(g) for g in gens) and len(gens) > 1:
-            raise ValueError("zero vector only allowed as the sole generator (unit ideal)")
         self.n = n
         self.generators = tuple(gens)
         self._cache: dict = {}

@@ -420,3 +420,26 @@ class TestDeterminism:
         main(argv)
         second = capsys.readouterr().out
         assert first == second
+
+    @pytest.mark.parametrize("command", ["cover", "check"])
+    def test_streamed_json_matches_one_string(self, tmp_path, c6_file, capsys, monkeypatch, command):
+        inst = tmp_path / "inst.json"
+        inst.write_text(json.dumps({"a": [3, 5, 4, 2, 6], "y": ["1/2", 1, 1, 1]}))
+        argv = {
+            "cover": ["cover", str(inst), "--json"],
+            "check": ["check", c6_file, "--kmax", "2", "--json"],
+        }[command]
+        payloads = []
+        emit = edgeclosure.cli._emit_json
+
+        def spy(payload):
+            payloads.append(payload)
+            emit(payload)
+
+        monkeypatch.setattr(edgeclosure.cli, "_emit_json", spy)
+        main(argv)
+        (payload,) = payloads
+        expected = json.dumps(
+            edgeclosure.graphs.to_jsonable(payload), indent=2, sort_keys=True
+        )
+        assert capsys.readouterr().out == expected + "\n"

@@ -176,6 +176,10 @@ class TestValidation:
         with pytest.raises(ValueError):
             MonomialIdeal(2, [(0, 0), (2, 1)])
 
+    def test_zero_vector_fails_the_antichain_check(self):
+        with pytest.raises(ValueError, match="not an antichain"):
+            MonomialIdeal(2, [(0, 0), (1, 0)])
+
     def test_negative_entry_rejected(self):
         with pytest.raises(ValueError):
             as_exponent_vector((1, -1))
