@@ -4,7 +4,9 @@ Subcommands: scan, check, closure, witness, cover, verify.  Every
 subcommand accepts --json for machine-readable output; the default is
 aligned text.  Exit codes: 0 all checks passed, 1 mathematical
 violation found, 2 input error, 3 resource cap exceeded, 4 internal
-error (a certificate failed its own self-check).
+error (a certificate failed its own self-check), 141 standard output
+closed by its reader before the output was written (128 + SIGPIPE, as a
+shell reports a command that `| head` cut short).
 
 Resource caps come from the environment: EDGECLOSURE_BOX_CAP bounds the
 lattice box volume per closure computation (default 10_000_000 points)
@@ -52,6 +54,7 @@ EXIT_VIOLATION = 1
 EXIT_INPUT = 2
 EXIT_CAP = 3
 EXIT_INTERNAL = 4
+EXIT_PIPE = 141
 
 DEFAULT_TIME_CAP_S = 30.0
 
@@ -309,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
         epilog=(
             "Exit codes: 0 ok, 1 violation found, 2 input error, 3 resource cap, "
-            "4 internal error. "
+            "4 internal error, 141 standard output closed early. "
             f"Caps: EDGECLOSURE_BOX_CAP (default {DEFAULT_BOX_CAP} lattice points), "
             f"EDGECLOSURE_TIME_CAP_S (default {DEFAULT_TIME_CAP_S}s per graph)."
         ),
@@ -367,7 +370,18 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # Flushed here so that a closed stdout is reported below, not by
+        # the interpreter's flush at exit.
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader is gone.  With stdout on devnull, the output still
+        # buffered and the flush at exit go nowhere instead of raising.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_PIPE
     except ResourceCapError as exc:
         print(f"resource cap exceeded: {exc}", file=sys.stderr)
         return EXIT_CAP

@@ -213,6 +213,32 @@ def pattern_witness(
     return graph, (w1 + w3, w1 - 1, w3 - 1)
 
 
+def lifted_witness(witness: PatternWitness, n: int) -> ExponentVector:
+    """`pattern_witness` for a scanned pattern, on its host's n vertices.
+
+    The canonical vertex tuple of a `PatternWitness` lists the vertices
+    in the order of the pattern graph's vertices 1, 2, ..., so vertex
+    `witness.vertices[i]` takes the pattern witness's entry i, and every
+    other vertex takes 0.  In a host where the pattern is induced, the
+    lift is outside the edge ideal and its square inside the ideal's
+    square, exactly as on the pattern graph.  Raises ValueError when the
+    weights are not heavy, or when the vertices are not as many distinct
+    vertices of 1..n as the pattern has.
+    """
+    _, local = pattern_witness(witness.kind, witness.weights)
+    vertices = witness.vertices
+    if len(vertices) != len(local) or len(set(vertices)) != len(vertices) or not all(
+        1 <= v <= n for v in vertices
+    ):
+        raise ValueError(
+            f"{witness.kind.value} vertices {vertices} do not fit a graph on 1..{n}"
+        )
+    lifted = [0] * n
+    for v, e in zip(vertices, local):
+        lifted[v - 1] = e
+    return tuple(lifted)
+
+
 def graph_to_jsonable(g: WeightedGraph) -> dict:
     return {
         "n": g.n,

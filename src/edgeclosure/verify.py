@@ -9,13 +9,19 @@ Two run modes replay the paper's two claims over a stream of graphs:
   scan-flagged member already fails at k = 1.
 
 Both modes run one per-graph loop, `_probe`.  It scans each graph; a
-scan-clean graph is probed to kmax (1 in thm36 mode) and a flagged one
-at k = 1 only.  A record is consistent iff "scan-clean" agrees with
-"every probed power closed"; an inconsistent record adds a violation
-and flips the run's `passed` flag.  Serialized runs omit wall times so
-identical inputs yield byte-identical JSON.  A negative weight bound or
-sample size, or a universe with no graph in it, raises ValueError rather
-than passing vacuously.
+scan-clean graph is probed by the engine (dual enumeration and the box
+sweep of `closure`) to kmax, 1 in thm36 mode.  A flagged graph is
+decided at k = 1 by the paper's witness for the pattern the scan found,
+lifted onto the graph: x^a outside I with x^(2a) in I^2 proves I not
+integrally closed, by two exact divisibility tests.  Only when that
+certificate fails, which a correct scan never causes, does the engine
+probe a flagged graph at k = 1, so records and violation texts are the
+ones the engine alone would give.  A record is consistent iff
+"scan-clean" agrees with "every probed power closed"; an inconsistent
+record adds a violation and flips the run's `passed` flag.  Serialized
+runs omit wall times so identical inputs yield byte-identical JSON.  A
+negative weight bound or sample size, or a universe with no graph in
+it, raises ValueError rather than passing vacuously.
 """
 from __future__ import annotations
 
@@ -23,6 +29,7 @@ import itertools
 import random
 import time
 from dataclasses import dataclass, field
+from operator import sub
 from typing import Iterable, Iterator, Sequence
 
 from .closure import DEFAULT_BOX_CAP, is_normal_up_to
@@ -32,10 +39,12 @@ from .graphs import (
     cycle_graph,
     edge_ideal,
     forbidden_pattern_scan,
+    lifted_witness,
     path_graph,
     star_graph,
     to_jsonable,
 )
+from .ideals import MonomialIdeal, divides, member
 
 
 @dataclass(frozen=True)
@@ -143,32 +152,40 @@ def _probe(
 ) -> VerificationRun:
     """Scan each graph, probe its powers, and record whether they agree.
 
-    A scan-clean graph is probed up to kmax, a flagged one at k = 1; the
-    graph with no edges has the zero ideal, closed without an engine
-    call.  The record is consistent iff the scan is clean exactly when
-    every probed power is closed.
+    The graph with no edges has the zero ideal, closed without an engine
+    call.  A flagged graph is decided at k = 1 by its lifted witness when
+    `_refuted_by_lift` holds, and by the engine otherwise; a scan-clean
+    graph always goes to the engine, up to kmax.  The record is
+    consistent iff the scan is clean exactly when every probed power is
+    closed.
     """
     for key, g in keyed_graphs:
         start = time.monotonic()
         deadline = start + time_cap if time_cap is not None else None
         witness = forbidden_pattern_scan(g)
-        reports = (
-            is_normal_up_to(
-                edge_ideal(g),
-                kmax if witness is None else 1,
-                box_cap=box_cap,
-                deadline=deadline,
-            )
-            if g.edges
-            else []  # zero ideal: trivially closed, engine not applicable
-        )
-        bad = next((r for r in reports if not r.closed), None)
-        consistent = (witness is None) == (bad is None)
+        bad = None
+        if not g.edges:
+            closed_by_k = ((1, True),)
+        else:
+            ideal = edge_ideal(g)
+            if witness is not None and _refuted_by_lift(ideal, witness):
+                closed_by_k = ((1, False),)
+            else:
+                reports = is_normal_up_to(
+                    ideal,
+                    kmax if witness is None else 1,
+                    box_cap=box_cap,
+                    deadline=deadline,
+                )
+                bad = next((r for r in reports if not r.closed), None)
+                closed_by_k = tuple((r.k, r.closed) for r in reports)
+        closed = all(c for _, c in closed_by_k)
+        consistent = (witness is None) == closed
         run.records.append(
             GraphRecord(
                 key=key,
                 scan=witness,
-                closed_by_k=tuple((r.k, r.closed) for r in reports) or ((1, True),),
+                closed_by_k=closed_by_k,
                 consistent=consistent,
                 elapsed=time.monotonic() - start,
             )
@@ -180,6 +197,32 @@ def _probe(
                 else f"{key}: scan found {witness.kind.value} but k=1 closed"
             )
     return run
+
+
+def _refuted_by_lift(ideal: MonomialIdeal, witness: PatternWitness) -> bool:
+    """True when the lift a of `witness` proves I not integrally closed.
+
+    It does when x^a is outside I and x^(2a) inside I^2, for then x^a is
+    integral over I (Swanson-Huneke 2006, §1.4).  Both tests are exact
+    divisibility: x^(2a) is in I^2 iff some generator g divides 2a with
+    x^(2a - g) in I, and only the generators dividing 2a can take part:
+    they are edges between the pattern's vertices, so the test stays
+    small on a graph with many edges, where the set of all 2-sums of
+    generators would not.  A scan the lift does not fit (vertices outside 1..n, a weight below
+    2) or whose lift leaves the 64-bit exponent range, and a pattern
+    that is not induced, give False: the engine decides those graphs.
+    """
+    try:
+        a = lifted_witness(witness, ideal.n)
+        if member(ideal, a):
+            return False
+    except (ValueError, OverflowError):
+        return False
+    double = tuple(2 * e for e in a)
+    below = [g for g in ideal.generators if divides(g, double)]
+    return any(
+        divides(h, tuple(map(sub, double, g))) for g in below for h in below
+    )
 
 
 def check_equivalence(

@@ -382,6 +382,54 @@ class TestErrorsAndCaps:
         assert err.startswith("input error:")
         assert "Traceback" not in err
 
+    # A closed pipe shows on the write of a large output, and on the
+    # flush of an output small enough to sit in the buffer.
+    @pytest.mark.parametrize("failing", ["write", "flush"])
+    def test_closed_stdout_exits_141(self, p3_file, tmp_path, capsys, monkeypatch, failing):
+        sink = os.open(tmp_path / "out", os.O_WRONLY | os.O_CREAT)
+
+        class ClosedPipe:
+            def write(self, text):
+                if failing == "write":
+                    raise BrokenPipeError(32, "Broken pipe")
+
+            def flush(self):
+                if failing == "flush":
+                    raise BrokenPipeError(32, "Broken pipe")
+
+            def fileno(self):
+                return sink
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        try:
+            assert main(["scan", p3_file, "--json"]) == 141
+            # stdout's descriptor now writes to devnull
+            assert os.path.samestat(os.fstat(sink), os.stat(os.devnull))
+        finally:
+            os.close(sink)
+        assert capsys.readouterr().err == ""
+
+    def test_reader_closing_the_pipe_exits_141(self):
+        # About 190 kB of JSON, far more than a pipe buffers, so the
+        # writer is still writing when the reader leaves.
+        env = dict(os.environ, PYTHONPATH=str(Path(edgeclosure.__file__).parents[1]))
+        argv = ["verify", "--mode", "thm36", "--n-max", "4", "--weight-max", "2", "--json"]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "edgeclosure.cli", *argv],
+            env=env,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        try:
+            assert proc.stdout.readline() == b"{\n"
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+            proc.wait()
+        assert proc.returncode == 141
+        assert err == b""
+
     def test_failed_self_check_exits_four(self, capsys, monkeypatch):
         monkeypatch.setattr(
             "edgeclosure.packing.verify_certificate", lambda *args: False

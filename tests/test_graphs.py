@@ -13,12 +13,14 @@ from edgeclosure.graphs import (
     forbidden_pattern_scan,
     graph_from_jsonable,
     graph_to_jsonable,
+    lifted_witness,
     path_graph,
     pattern_witness,
     star_graph,
 )
 from edgeclosure.ideals import member, power
 from edgeclosure.packing import fractional_packing
+from edgeclosure.verify import enumerate_weighted_graphs
 
 from oracles import induced_subgraph
 
@@ -173,6 +175,36 @@ class TestPatternWitness:
             assert fractional_packing(ideal, w).value >= 1
             doubled = tuple(2 * v for v in w)
             assert member(power(ideal, 2), doubled)
+
+    def test_lift_places_the_witness_on_the_host_vertices(self):
+        g = WeightedGraph(5, ((1, 4, 2), (3, 4, 3)))
+        witness = forbidden_pattern_scan(g)
+        assert witness.vertices == (1, 4, 3)
+        # pattern_witness(P3, (2, 3)) is (1, 5, 2) on the path 1-2-3
+        assert lifted_witness(witness, 5) == (1, 0, 2, 5, 0)
+
+    @pytest.mark.parametrize("n", [2, 0])
+    def test_lift_rejects_vertices_outside_the_host(self, n):
+        witness = forbidden_pattern_scan(path_graph((2, 2)))
+        with pytest.raises(ValueError, match="do not fit"):
+            lifted_witness(witness, n)
+
+    def test_lift_agrees_with_the_engine_on_every_flagged_graph(self):
+        # Every flagged graph with n <= 4 and w <= 3: the lift is outside
+        # I, its double inside I^2, and the engine finds I not closed.
+        flagged = 0
+        for n in range(1, 5):
+            for g in enumerate_weighted_graphs(n, 3):
+                witness = forbidden_pattern_scan(g)
+                if witness is None:
+                    continue
+                flagged += 1
+                ideal = edge_ideal(g)
+                a = lifted_witness(witness, n)
+                assert not member(ideal, a), g
+                assert member(power(ideal, 2), tuple(2 * e for e in a)), g
+                assert not is_integrally_closed(ideal, 1).closed, g
+        assert flagged == 2832
 
 
 class TestGraphValidation:

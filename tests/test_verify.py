@@ -1,7 +1,21 @@
+import hashlib
+import itertools
 import json
 
-from edgeclosure.graphs import PatternKind, forbidden_pattern_scan, path_graph
+import pytest
+
+import edgeclosure.verify
+from edgeclosure.errors import ResourceCapError
+from edgeclosure.graphs import (
+    PatternKind,
+    PatternWitness,
+    WeightedGraph,
+    edge_ideal,
+    forbidden_pattern_scan,
+    path_graph,
+)
 from edgeclosure.verify import (
+    check_equivalence,
     enumerate_weighted_graphs,
     family_graphs,
     graph_key,
@@ -9,6 +23,20 @@ from edgeclosure.verify import (
     run_normality_check,
     sample_weighted_graphs,
 )
+
+
+@pytest.fixture
+def engine_ideals(monkeypatch) -> list:
+    """The ideal of every engine call `verify` makes while the test runs."""
+    ideals = []
+    engine = edgeclosure.verify.is_normal_up_to
+
+    def spy(ideal, *args, **kwargs):
+        ideals.append(ideal)
+        return engine(ideal, *args, **kwargs)
+
+    monkeypatch.setattr(edgeclosure.verify, "is_normal_up_to", spy)
+    return ideals
 
 
 class TestUniverses:
@@ -104,3 +132,85 @@ class TestNormalityMode:
         assert "path|n3|1-2:1,2-3:1: scan found heavy_p3 but k=1 closed" in run.violations
         # the (2,2) path really is not closed, so it stays consistent
         assert not any("1-2:2,2-3:2" in v for v in run.violations)
+
+
+class TestFlaggedGraphs:
+    def test_engine_runs_once_per_scan_clean_graph(self, engine_ideals):
+        run = run_equivalence_check(4, 3)
+        assert run.passed
+        clean = [
+            edge_ideal(g)
+            for g in itertools.chain.from_iterable(
+                enumerate_weighted_graphs(n, 3) for n in range(1, 5)
+            )
+            if g.edges and forbidden_pattern_scan(g) is None
+        ]
+        assert len(engine_ideals) == len(clean) == 1329
+        # edge ideals of distinct graphs differ, so no flagged one is here
+        assert set(engine_ideals) == set(clean)
+
+    def test_weight_one_in_a_reported_pattern_goes_to_the_engine(
+        self, monkeypatch, engine_ideals
+    ):
+        # pattern_witness refuses a weight below 2, so the lift fails
+        def scan_with_light_p3(g):
+            if g.n == 3:
+                return PatternWitness(PatternKind.HEAVY_P3, (1, 2, 3), (1, 1))
+            return forbidden_pattern_scan(g)
+
+        monkeypatch.setattr(
+            "edgeclosure.verify.forbidden_pattern_scan", scan_with_light_p3
+        )
+        run = run_normality_check(3, 2, 1, families=("path",))
+        assert len(engine_ideals) == len(run.records) == 6
+        assert run.violations == [
+            f"path|n3|1-2:{u},2-3:{v}: scan found heavy_p3 but k=1 closed"
+            for u, v in ((1, 1), (1, 2), (2, 1))
+        ]
+        assert run.records[-1].closed_by_k == ((1, False),)
+
+    def test_pattern_that_is_not_induced_goes_to_the_engine(
+        self, monkeypatch, engine_ideals
+    ):
+        # The light chord 1-3 divides the lift (1, 4, 1) of the heavy path.
+        g = WeightedGraph(3, ((1, 2, 2), (1, 3, 1), (2, 3, 2)))
+        fake = PatternWitness(PatternKind.HEAVY_P3, (1, 2, 3), (2, 2))
+        monkeypatch.setattr("edgeclosure.verify.forbidden_pattern_scan", lambda _: fake)
+        run = check_equivalence([g], descriptor={})
+        assert engine_ideals == [edge_ideal(g)]
+        assert run.records[0].closed_by_k == ((1, True),)
+        assert run.violations == ["n3|1-2:2,1-3:1,2-3:2: scan found heavy_p3 but k=1 closed"]
+
+    def test_lift_beyond_64_bits_goes_to_the_engine(self, engine_ideals):
+        # The lift's middle entry 2**63 leaves the exponent range; the
+        # engine then refuses the box, as it did before the lift existed.
+        g = path_graph((2**62, 2**62))
+        with pytest.raises(ResourceCapError):
+            check_equivalence([g], descriptor={})
+        assert engine_ideals == [edge_ideal(g)]
+
+
+# sha256 of json.dumps(run.to_jsonable(), indent=2, sort_keys=True) as
+# produced by the engine alone, before flagged graphs were decided by
+# their lifted witness.
+@pytest.mark.parametrize(
+    "build, digest",
+    [
+        (
+            lambda: run_equivalence_check(4, 3),
+            "6d243d61a590140d24e5d635268155e243c2d227caf4039435b45b2480cd96c0",
+        ),
+        (
+            lambda: run_equivalence_check(5, 3, sample=500, seed=20240811),
+            "7822715101d1476860fa0a4cba00bbcb87f1be92570d33c7ab8ec95a6991398c",
+        ),
+        (
+            lambda: run_normality_check(5, 3, 3),
+            "10f4bc19bf7251744451a12308cde4d9270e4d5b9ec4e9f074bb1423918f99c3",
+        ),
+    ],
+    ids=["thm36-exhaustive", "thm36-sampled", "normality"],
+)
+def test_json_bytes_are_pinned(build, digest):
+    text = json.dumps(build().to_jsonable(), indent=2, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
