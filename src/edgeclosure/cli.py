@@ -13,7 +13,8 @@ lattice box volume per closure computation (default 10_000_000 points)
 and EDGECLOSURE_TIME_CAP_S bounds wall-clock time per graph (default
 30 seconds); a cap that is not a positive number is an input error.
 cover refuses a cover of more than MAX_COVER_EDGES (1_000_000) edges,
-a fixed constant, with exit 3.
+a fixed constant, with exit 3.  A computation that runs out of memory,
+such as a sweep under a raised box cap, also exits 3.
 """
 from __future__ import annotations
 
@@ -384,6 +385,9 @@ def main(argv=None) -> int:
         return EXIT_PIPE
     except ResourceCapError as exc:
         print(f"resource cap exceeded: {exc}", file=sys.stderr)
+        return EXIT_CAP
+    except MemoryError as exc:
+        print(f"resource cap exceeded: out of memory: {exc}", file=sys.stderr)
         return EXIT_CAP
     except (EdgeClosureError, ValueError, OverflowError) as exc:
         print(f"input error: {exc}", file=sys.stderr)

@@ -10,10 +10,13 @@ set, by one ceiling division per functional.  A column's lowest point
 is minimal iff it lies in the box and sits strictly below the lowest
 points of its neighbouring columns a' - e_j, so the sweep holds a few
 entries per column, not per box point.  Closedness is decided by
-looking the minimal elements up among the sums of k generators.  The
-sweep computes in int64 when every functional value in the box and
-every threshold k*s stays below 2**62, and in Python integers (one per
-column) otherwise, so it is exact on every input.  numpy is imported by
+looking the minimal elements up among the sums of k generators, each
+kept as its row-major flat index in the same box: no sum of at most k
+generators leaves the box, so adding indices adds vectors.  The sweep
+computes in the narrowest of int16, int32 and int64 whose limit
+2**(bits-2) exceeds every box length, every functional value in the
+box and every k*s + w_col, and in Python integers (one per column)
+when none does, so it is exact on every input.  numpy is imported by
 the sweep itself, on its first call: the certificates below, the
 packing oracles and the pattern scan never load it.  The wall-clock
 deadline is checked inside the dual enumeration, before each functional
@@ -28,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 from typing import Sequence
 
 from .errors import ResourceCapError, check_deadline
@@ -36,7 +40,9 @@ from .ideals import (
     MonomialIdeal,
     as_exponent_vector,
     checked_mul,
+    flat_index,
     generator_sums,
+    power_box,
 )
 from .packing import (
     dual_functionals,
@@ -46,7 +52,9 @@ from .packing import (
 )
 
 DEFAULT_BOX_CAP = 10_000_000
-_INT64_GUARD = 2**62
+# numpy integer widths, narrowest first, each with the bound every value
+# of the sweep must stay below: 2**(bits - 2), two bits of margin.
+_WIDTHS = (("int16", 2**14), ("int32", 2**30), ("int64", 2**62))
 
 
 @dataclass(frozen=True)
@@ -85,12 +93,13 @@ class ScalingResult:
 
 
 def generator_box(ideal: MonomialIdeal, k: int) -> tuple[int, ...]:
-    """Componentwise bound k * max generator entry, per coordinate."""
+    """Componentwise bound k * max generator entry, per coordinate.
+
+    The box of `ideals.power_box`, for a proper ideal: it holds every
+    k-sum of generators and every minimal point of the closure of I^k.
+    """
     require_proper(ideal)
-    return tuple(
-        checked_mul(k, max(g[j] for g in ideal.generators))
-        for j in range(ideal.n)
-    )
+    return power_box(ideal, k)
 
 
 def closure_generators(
@@ -114,6 +123,29 @@ def closure_generators(
     return _sweep(shape, functionals, k, deadline)
 
 
+def _sweep_width(
+    shape: tuple[int, ...],
+    functionals: Sequence[tuple[tuple[int, ...], int]],
+    k: int,
+    col: int,
+):
+    """The narrowest integer width in which the sweep is exact.
+
+    Every value the sweep computes is bounded in magnitude by the box
+    length shape[col], the longest, by sum_j w_j * (b_j - 1) over all
+    axes, or by k*s + w_col, for some functional (w, s).  The first
+    width whose limit exceeds all of them is returned, with Python
+    integers (`object`) as the last resort.  numpy wraps a narrow
+    integer silently, so the limits keep two bits of margin below the
+    width's range.
+    """
+    spans = [b - 1 for b in shape]
+    bound = shape[col]
+    for w, s in functionals:
+        bound = max(bound, sum(map(mul, w, spans)), k * s + w[col])
+    return next((name for name, limit in _WIDTHS if bound < limit), object)
+
+
 def _sweep(
     shape: tuple[int, ...],
     functionals: Sequence[tuple[tuple[int, ...], int]],
@@ -132,20 +164,14 @@ def _sweep(
     lies in the box and every grid predecessor a' - e_j has a strictly
     greater height.  A height at or above the top compares greater than
     every height in the box, so heights need no clipping.  Memory is a
-    few arrays of one entry per column, not per box point.
+    few arrays of one entry per column, not per box point, each entry
+    in the width `_sweep_width` picks.
     """
     import numpy as np
 
     n = len(shape)
-    # int64 is exact when no a.w or k*s in the box reaches 2**62;
-    # otherwise the arrays hold Python integers.
-    fits = all(
-        sum(wj * (bj - 1) for wj, bj in zip(w, shape)) < _INT64_GUARD
-        and k * s < _INT64_GUARD
-        for w, s in functionals
-    )
-    dtype = np.int64 if fits else object
     col = max(range(n), key=shape.__getitem__)
+    dtype = _sweep_width(shape, functionals, k, col)
     top = shape[col]
     # Only the axes of length > 1 get an array axis: a length-1 axis
     # holds only 0, where w_j * 0 adds nothing.  Each kept axis doubles
@@ -159,24 +185,28 @@ def _sweep(
         for pos, j in enumerate(axes)
     ]
     height = np.zeros(tuple(shape[j] for j in axes), dtype=dtype)
+    # top in the heights' width, so that np.where keeps that width
+    top_entry = np.asarray(top, dtype)
     for w, s in functionals:
         check_deadline(deadline)
-        # Broadcasting only over the axes with w_j != 0 keeps the sum
-        # smaller than the grid when the functional has zero entries.
-        partial = sum(w[j] * r for j, r in zip(axes, ramps) if w[j])
+        # rest = k*s + w_col - 1 - partial.  Broadcasting only over the
+        # axes with w_j != 0 keeps it smaller than the grid when the
+        # functional has zero entries.
+        rest = k * s + w[col] - 1
+        for j, r in zip(axes, ramps):
+            if w[j]:
+                rest = rest - (r if w[j] == 1 else w[j] * r)
         if w[col]:
             # ceil((k*s - partial) / w_col) as one floor division
-            least = (k * s + w[col] - 1 - partial) // w[col]
-            np.maximum(height, least, out=height)
+            np.maximum(height, rest // w[col], out=height)
         else:
-            np.maximum(height, np.where(partial < k * s, top, 0), out=height)
+            # partial < k*s, where the functional fails, is rest >= 0
+            np.maximum(height, np.where(rest >= 0, top_entry, 0), out=height)
     minimal = height < top
     for pos in range(d):
-        src = [slice(None)] * d
-        dst = [slice(None)] * d
-        src[pos] = slice(0, -1)
-        dst[pos] = slice(1, None)
-        minimal[tuple(dst)] &= height[tuple(dst)] < height[tuple(src)]
+        lead = (slice(None),) * pos
+        dst, src = lead + (slice(1, None),), lead + (slice(None, -1),)
+        minimal[dst] &= height[dst] < height[src]
     rows = np.argwhere(minimal)
     points = np.zeros((len(rows), n), np.int64)
     points[:, axes] = rows
@@ -201,9 +231,10 @@ def is_integrally_closed(
     mins = closure_generators(ideal, k, box_cap=box_cap, deadline=deadline)
     # A minimal closure generator a lies in I^k iff it is a sum of k
     # generators: a k-sum dividing a lies in the closure too, so by the
-    # minimality of a it equals a.
-    sums = generator_sums(ideal, k, deadline=deadline)
-    witness = next((a for a in mins if a not in sums), None)
+    # minimality of a it equals a.  The sweep's box holds every k-sum,
+    # so both sides are compared by their flat index in it.
+    sums, strides = generator_sums(ideal, k, deadline=deadline)
+    witness = next((a for a in mins if flat_index(a, strides) not in sums), None)
     return ClosureReport(
         k=k,
         closed=witness is None,

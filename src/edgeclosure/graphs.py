@@ -183,6 +183,26 @@ def forbidden_pattern_scan(g: WeightedGraph) -> PatternWitness | None:
     return min(candidates, key=lambda c: (rank(c.kind), c.vertices))
 
 
+def _witness_exponents(kind: PatternKind, weights: Sequence[int]) -> ExponentVector:
+    """The exponents of `pattern_witness` on the pattern graph's vertices."""
+    ws = tuple(weights)
+    expected = {PatternKind.HEAVY_P3: 2, PatternKind.HEAVY_2K2: 2, PatternKind.HEAVY_TRIANGLE: 3}[kind]
+    if len(ws) != expected:
+        raise ValueError(f"{kind.value} needs {expected} weights, got {len(ws)}")
+    if any(w < HEAVY for w in ws):
+        raise ValueError(f"witness formulas require all weights >= {HEAVY}, got {ws}")
+    if kind is PatternKind.HEAVY_P3:
+        w1, w2 = ws
+        return (w1 - 1, w1 + w2, w2 - 1)
+    if kind is PatternKind.HEAVY_2K2:
+        w1, w3 = ws
+        return (w1 - 1, w1 - 1, w3 - 1, w3 - 1)
+    w1, w2, w3 = ws
+    if w1 > w2 - 1:
+        return (w3 - 1, w2 - 1, w2 + w3)
+    return (w1 + w3, w1 - 1, w3 - 1)
+
+
 def pattern_witness(
     kind: PatternKind, weights: Sequence[int]
 ) -> tuple[WeightedGraph, ExponentVector]:
@@ -193,24 +213,12 @@ def pattern_witness(
     square lies in the ideal's square.  All weights must be >= 2.
     """
     ws = tuple(weights)
-    expected = {PatternKind.HEAVY_P3: 2, PatternKind.HEAVY_2K2: 2, PatternKind.HEAVY_TRIANGLE: 3}[kind]
-    if len(ws) != expected:
-        raise ValueError(f"{kind.value} needs {expected} weights, got {len(ws)}")
-    if any(w < HEAVY for w in ws):
-        raise ValueError(f"witness formulas require all weights >= {HEAVY}, got {ws}")
+    w = _witness_exponents(kind, ws)
     if kind is PatternKind.HEAVY_P3:
-        w1, w2 = ws
-        graph = path_graph((w1, w2))
-        return graph, (w1 - 1, w1 + w2, w2 - 1)
+        return path_graph(ws), w
     if kind is PatternKind.HEAVY_2K2:
-        w1, w3 = ws
-        graph = WeightedGraph(4, ((1, 2, w1), (3, 4, w3)))
-        return graph, (w1 - 1, w1 - 1, w3 - 1, w3 - 1)
-    w1, w2, w3 = ws
-    graph = cycle_graph((w1, w2, w3))
-    if w1 > w2 - 1:
-        return graph, (w3 - 1, w2 - 1, w2 + w3)
-    return graph, (w1 + w3, w1 - 1, w3 - 1)
+        return WeightedGraph(4, ((1, 2, ws[0]), (3, 4, ws[1]))), w
+    return cycle_graph(ws), w
 
 
 def lifted_witness(witness: PatternWitness, n: int) -> ExponentVector:
@@ -225,7 +233,7 @@ def lifted_witness(witness: PatternWitness, n: int) -> ExponentVector:
     weights are not heavy, or when the vertices are not as many distinct
     vertices of 1..n as the pattern has.
     """
-    _, local = pattern_witness(witness.kind, witness.weights)
+    local = _witness_exponents(witness.kind, witness.weights)
     vertices = witness.vertices
     if len(vertices) != len(local) or len(set(vertices)) != len(vertices) or not all(
         1 <= v <= n for v in vertices

@@ -7,7 +7,8 @@ equal and all derived output is deterministic.
 """
 from __future__ import annotations
 
-from operator import add
+from itertools import accumulate
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatchError, check_deadline
@@ -135,28 +136,73 @@ def minimalize(gens: Iterable[Sequence[int]], n: int | None = None) -> MonomialI
     return MonomialIdeal(length, minimal)
 
 
+def box_strides(shape: Sequence[int]) -> tuple[int, ...]:
+    """Row-major strides of a box with axis lengths `shape`.
+
+    The flat index sum(a_j * stride_j) of a point a of the box is
+    injective on the box and orders it lexicographically.  When a + b
+    also lies in the box no coordinate carries, so the index of a + b
+    is the sum of the indices of a and b.
+    """
+    # products of the trailing lengths, last axis first, then reversed
+    return tuple(accumulate(reversed(shape), mul, initial=1))[-2::-1]
+
+
+def flat_index(a: Sequence[int], strides: Sequence[int]) -> int:
+    """The flat index of the box point a, given its box's strides."""
+    return sum(map(mul, a, strides))
+
+
+def power_box(ideal: MonomialIdeal, k: int) -> tuple[int, ...]:
+    """Componentwise bound k * max generator entry, per coordinate.
+
+    Every sum of at most k generators lies in the box from 0 to this
+    bound.  Entries beyond 64-bit range raise `OverflowError`.
+    """
+    return tuple(checked_mul(k, m) for m in map(max, zip(*ideal.generators)))
+
+
 def generator_sums(
-    ideal: MonomialIdeal, k: int, *, deadline: float | None = None
-) -> set[ExponentVector]:
+    ideal: MonomialIdeal,
+    k: int,
+    *,
+    deadline: float | None = None,
+) -> tuple[set[int], tuple[int, ...]]:
     """The distinct sums of k generators, repetition allowed, k >= 1.
 
-    Entries are not range-checked; `minimalize` rejects out-of-range ones.
-    `deadline` is checked before each of the k - 1 rounds of adding one
-    more generator.
+    Returns the sums as flat indices in the box of `power_box(ideal, k)`
+    together with that box's row-major strides.  No sum of at most k
+    generators leaves the box, so a sum of indices is the index of the
+    sum and each new sum costs one integer addition.  `deadline` is
+    checked before each of the k - 1 rounds of adding one more
+    generator.
     """
     if k < 1:
         raise ValueError(f"power exponent must be >= 1, got {k}")
-    gens = ideal.generators
-    sums = set(gens)
+    strides = box_strides([b + 1 for b in power_box(ideal, k)])
+    gens = {flat_index(g, strides) for g in ideal.generators}
+    sums = gens
     for _ in range(k - 1):
         check_deadline(deadline)
-        sums = {tuple(map(add, s, g)) for s in sums for g in gens}
-    return sums
+        sums = {s + g for s in sums for g in gens}
+    return sums, strides
 
 
 def power(ideal: MonomialIdeal, k: int) -> MonomialIdeal:
-    """Minimal generators of the k-th power, k >= 1."""
-    return minimalize(generator_sums(ideal, k), ideal.n)
+    """Minimal generators of the k-th power, k >= 1.
+
+    The k-sums come from `generator_sums` as flat indices and are
+    decoded axis by axis.
+    """
+    indices, strides = generator_sums(ideal, k)
+    sums = []
+    for index in indices:
+        a = []
+        for stride in strides:
+            entry, index = divmod(index, stride)
+            a.append(entry)
+        sums.append(a)
+    return minimalize(sums, ideal.n)
 
 
 def member(ideal: MonomialIdeal, a: Sequence[int]) -> bool:

@@ -376,6 +376,41 @@ class TestErrorsAndCaps:
         )
         assert done.returncode in (0, 3)
 
+    def test_failed_allocation_exits_three(self, tmp_path):
+        # Under a raised box cap the sweep's grid for this 14-vertex
+        # path at k = 3 would take terabytes.  The child's address space
+        # is capped first, so the allocation fails the same way under
+        # any overcommit setting and never touches memory.  BLAS is kept
+        # to one thread, so that its start-up on a many-core host cannot
+        # use up the capped address space before the sweep allocates.
+        weights = [3, 3, 1] * 4 + [3]
+        edges = [{"u": u, "v": u + 1, "w": w} for u, w in enumerate(weights, 1)]
+        path = tmp_path / "p14.json"
+        path.write_text(json.dumps({"n": 14, "edges": edges}))
+        code = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31))\n"
+            "from edgeclosure.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        env = dict(
+            os.environ,
+            EDGECLOSURE_BOX_CAP=str(10**15),
+            OPENBLAS_NUM_THREADS="1",
+            OMP_NUM_THREADS="1",
+            PYTHONPATH=str(Path(edgeclosure.__file__).parents[1]),
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code, "closure", str(path), "-k", "3"],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 3, done.stderr
+        assert done.stderr.startswith("resource cap exceeded: out of memory")
+        assert "Traceback" not in done.stderr
+
     def test_power_beyond_64_bits_exits_two(self, c6_file, capsys):
         assert main(["closure", c6_file, "-k", str(2**63 - 1)]) == 2
         err = capsys.readouterr().err

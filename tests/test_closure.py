@@ -1,7 +1,9 @@
+import hashlib
+import json
 import math
 import time
 import tracemalloc
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -9,6 +11,7 @@ import edgeclosure.closure
 from edgeclosure.closure import (
     PowerIdentityCertificate,
     _sweep,
+    _sweep_width,
     closure_generators,
     generator_box,
     is_integrally_closed,
@@ -37,6 +40,22 @@ from oracles import closure_generators_bruteforce, induced_subgraph, sweep_point
 
 PAIR = MonomialIdeal(3, [(2, 2, 0), (0, 2, 2)])
 TRIANGLE = MonomialIdeal(3, [(2, 2, 0), (0, 2, 2), (2, 0, 2)])
+
+
+def sweep_width_cases():
+    """(shape, functionals, k, width): each bound of `_sweep_width` just
+    below and just at the limit of int16, int32 and int64."""
+    widths = ("int16", "int32", "int64", object)
+    for pos, limit in enumerate((2**14, 2**30, 2**62)):
+        for bound, width in ((limit - 1, widths[pos]), (limit, widths[pos + 1])):
+            # the longest box length, with a known single minimal point
+            yield (2, bound), [((0, 1), 1)], 1, width
+            # sum_j w_j * (b_j - 1) over the box (2, 4)
+            yield (2, 4), [((bound - 3, 1), bound - 4), ((1, 1), 2)], 1, width
+            # k*s + w_col, with k = 2 and some points of (2, 4) inside
+            c = (bound - 2) // 3
+            c -= (bound - c) % 2
+            yield (2, 4), [((1, c), (bound - c) // 2)], 2, width
 
 
 class TestClosureGenerators:
@@ -133,6 +152,43 @@ class TestClosureGenerators:
         finally:
             tracemalloc.stop()
         assert peak < 2 * volume, (peak, volume)
+
+    def test_sweep_bytes_per_column(self):
+        # int16 heights: the same sweep in int64 takes 10.6 B per column
+        ideal = edge_ideal(cycle_graph((2, 1, 3, 1, 4, 1)))
+        shape = [b + 1 for b in generator_box(ideal, 4)]
+        columns = math.prod(shape) // max(shape)
+        assert columns == 232_713
+        closure_generators(ideal, 1)  # loads numpy, caches the duals
+        tracemalloc.start()
+        try:
+            closure_generators(ideal, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * columns, (peak, columns)
+
+    def test_sweep_width_at_each_limit(self):
+        for shape, fs, k, width in sweep_width_cases():
+            col = max(range(len(shape)), key=shape.__getitem__)
+            assert _sweep_width(shape, fs, k, col) == width, (shape, fs, k)
+            got = _sweep(shape, fs, k, None)
+            if math.prod(shape) <= 2**15:
+                assert got == sweep_point_by_point(shape, fs, k, None), (shape, fs, k)
+            else:
+                assert got == ((0, 1),), (shape, fs, k)
+
+    def test_heavy_path_sweeps_in_int32(self, monkeypatch):
+        # a box under the default cap whose functional values pass 2**14
+        ideal = edge_ideal(path_graph((193, 180)))
+        shape = tuple(b + 1 for b in generator_box(ideal, 1))
+        col = max(range(len(shape)), key=shape.__getitem__)
+        assert _sweep_width(shape, dual_functionals(ideal), 1, col) == "int32"
+        got = closure_generators(ideal, 1)
+        monkeypatch.setattr(
+            edgeclosure.closure, "_WIDTHS", (("int64", 2**62),)
+        )
+        assert got == closure_generators(ideal, 1)
 
     def test_outputs_lie_in_box(self, rng):
         for _ in range(10):
@@ -291,6 +347,59 @@ class TestNormality:
             assert [r.k for r in reports] == list(range(1, first_open + 1))
             assert [r.closed for r in reports[:-1]] == [True] * (first_open - 1)
             assert reports[-1].witness == (1,) * graph.n
+
+
+def reports_rows(graph, kmax):
+    return [
+        [r.k, r.closed, r.witness, r.closure_generators]
+        for r in is_normal_up_to(edge_ideal(graph), kmax, include_generators=True)
+    ]
+
+
+def unit_complete(n):
+    return WeightedGraph(n, tuple((u, v, 1) for u, v in combinations(range(1, n + 1), 2)))
+
+
+def pinned_clean_rows():
+    rows = [
+        [list(ws), reports_rows(g, 4)]
+        for n in range(3, 7)
+        for ws in product(range(1, 4), repeat=n)
+        if forbidden_pattern_scan(g := cycle_graph(ws)) is None
+    ]
+    return rows + [[n, reports_rows(unit_complete(n), 4)] for n in (5, 6)]
+
+
+def pinned_mixed_rows():
+    rows = [
+        [list(ws), reports_rows(cycle_graph(ws), 3)]
+        for n in range(3, 6)
+        for ws in product(range(1, 4), repeat=n)
+    ]
+    # triangle plus a disjoint heavy edge, and the unit 2K3: not normal
+    for g in (
+        WeightedGraph(5, ((1, 5, 2), (2, 3, 1), (2, 4, 1), (3, 4, 1))),
+        WeightedGraph(6, ((1, 2, 1), (1, 3, 1), (2, 3, 1), (4, 5, 1), (4, 6, 1), (5, 6, 1))),
+    ):
+        rows.append([list(g.edges), reports_rows(g, 3)])
+    return rows
+
+
+# sha256 of json.dumps(rows) for the witnesses and closure generators of
+# every probed power, as produced by the sweep in int64 with the k-sums
+# kept as vectors.
+@pytest.mark.parametrize(
+    "build, count, digest",
+    [
+        (pinned_clean_rows, 122, "52b8b1ffc0427476809a79e4514fe48c65c2d01d9efdd03753d0bfadc4313124"),
+        (pinned_mixed_rows, 353, "529914f2e7916abe2f37049df3881c2c90e1e98f61c10414893388845aebaa96"),
+    ],
+    ids=["clean", "mixed"],
+)
+def test_reports_bytes_are_pinned(build, count, digest):
+    rows = build()
+    assert len(rows) == count
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == digest
 
 
 class TestScalingMembership:

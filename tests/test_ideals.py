@@ -10,7 +10,9 @@ from edgeclosure.errors import DimensionMismatchError, ResourceCapError
 from edgeclosure.ideals import (
     MonomialIdeal,
     as_exponent_vector,
+    box_strides,
     divides,
+    flat_index,
     generator_sums,
     member,
     minimalize,
@@ -119,7 +121,13 @@ class TestPower:
             tuple(map(sum, zip(*combo)))
             for combo in combinations_with_replacement(ideal.generators, k)
         }
-        assert generator_sums(ideal, k) == expected
+        shape = [k * max(g[j] for g in ideal.generators) + 1 for j in range(ideal.n)]
+        indices, strides = generator_sums(ideal, k)
+        assert strides == box_strides(shape)
+        decoded = [decode(i, shape) for i in indices]
+        # a list, so that two indices of one vector would show
+        assert sorted(decoded) == sorted(expected)
+        assert minimalize(decoded, ideal.n) == power_by_multisets(ideal, k)
 
     def test_generator_sums_check_the_deadline(self):
         ideal = MonomialIdeal(2, [(1, 0), (0, 1)])
@@ -147,6 +155,42 @@ class TestPower:
                     ideal.n,
                 )
                 assert combined == sums
+
+
+def decode(index, shape):
+    """The point of the box with axis lengths `shape` at a row-major index."""
+    a = []
+    for b in reversed(shape):
+        index, entry = divmod(index, b)
+        a.append(entry)
+    assert index == 0
+    return tuple(reversed(a))
+
+
+@st.composite
+def box_and_two_points(draw):
+    shape = draw(st.lists(st.integers(1, 7), min_size=1, max_size=5))
+    point = st.tuples(*[st.integers(0, b - 1) for b in shape])
+    return shape, draw(point), draw(point)
+
+
+class TestFlatIndex:
+    @settings(max_examples=300, deadline=None)
+    @given(box_and_two_points())
+    def test_index_order_is_lex_order_and_sums_add(self, case):
+        shape, a, b = case
+        strides = box_strides(shape)
+        ia, ib = flat_index(a, strides), flat_index(b, strides)
+        assert decode(ia, shape) == a
+        assert (ia < ib) == (a < b) and (ia == ib) == (a == b)
+        total = tuple(x + y for x, y in zip(a, b))
+        if all(t < n for t, n in zip(total, shape)):
+            assert flat_index(total, strides) == ia + ib
+
+    def test_strides_are_row_major(self):
+        assert box_strides((3, 4, 5)) == (20, 5, 1)
+        assert box_strides((7,)) == (1,)
+        assert box_strides(()) == ()
 
 
 class TestMember:
