@@ -45,6 +45,8 @@ from .ideals import (
     power_box,
 )
 from .packing import (
+    check_query,
+    checked_lp,
     dual_functionals,
     fractional_packing,
     integer_packing,
@@ -92,16 +94,6 @@ class ScalingResult:
     s: int
 
 
-def generator_box(ideal: MonomialIdeal, k: int) -> tuple[int, ...]:
-    """Componentwise bound k * max generator entry, per coordinate.
-
-    The box of `ideals.power_box`, for a proper ideal: it holds every
-    k-sum of generators and every minimal point of the closure of I^k.
-    """
-    require_proper(ideal)
-    return power_box(ideal, k)
-
-
 def closure_generators(
     ideal: MonomialIdeal,
     k: int,
@@ -113,7 +105,7 @@ def closure_generators(
     if k < 1:
         raise ValueError(f"power must be >= 1, got {k}")
     require_proper(ideal)
-    shape = tuple(b + 1 for b in generator_box(ideal, k))
+    shape = tuple(b + 1 for b in power_box(ideal, k))
     volume = math.prod(shape)
     if volume > box_cap:
         raise ResourceCapError(
@@ -277,31 +269,31 @@ def power_identity_certificate(
     Reduces the components of the optimal fractional packing in index
     order until they sum to k (which keeps M y <= a), clears their
     denominators with their lcm s, and returns the exact identity
-    s*a = slack + sum of s*y_i copies of each generator.
+    s*a = slack + sum of s*y_i copies of each generator, computed in
+    integers over the lcm of the packing's denominators.
     """
     if k < 1:
         raise ValueError(f"power must be >= 1, got {k}")
-    vec = as_exponent_vector(a, ideal.n)
-    packing = fractional_packing(ideal, vec)
+    vec = check_query(ideal, a)
+    packing = checked_lp(ideal, vec)
     if packing.value < k:
         raise ValueError(
             f"x^a is not in the closure of I^{k}: packing value {packing.value} < {k}"
         )
-    excess = packing.value - k
-    y = []
-    for v in packing.y:
-        cut = min(v, excess)
-        y.append(v - cut)
+    den = math.lcm(*(v.denominator for v in packing.y))
+    nums = [v.numerator * (den // v.denominator) for v in packing.y]
+    excess = sum(nums) - k * den
+    reduced = []
+    for t in nums:
+        cut = min(t, excess)
+        reduced.append(t - cut)
         excess -= cut
-    scale = math.lcm(*(v.denominator for v in y))
-    mults = tuple(int(v * scale) for v in y)
-    used = [0] * ideal.n
-    for g, t in zip(ideal.generators, mults):
-        for j in range(ideal.n):
-            used[j] += t * g[j]
-    slack = tuple(scale * vec[j] - used[j] for j in range(ideal.n))
+    scale = den // math.gcd(den, *reduced)
+    mults = tuple(t * scale // den for t in reduced)
+    rows = ideal.exponent_matrix()
+    slack = tuple(scale * v - sum(map(mul, row, mults)) for v, row in zip(vec, rows))
     out = PowerIdentityCertificate(scale=scale, multiplicities=mults, slack=slack)
-    if not verify_power_identity(ideal, vec, k, out):
+    if not _identity_holds(ideal, vec, k, out):
         raise AssertionError("constructed power identity failed verification")
     return out
 
@@ -309,25 +301,25 @@ def power_identity_certificate(
 def verify_power_identity(
     ideal: MonomialIdeal, a: Sequence[int], k: int, cert: PowerIdentityCertificate
 ) -> bool:
-    """Re-check the identity scale*a = slack + sum multiplicities*gens."""
-    if cert.scale < 1:
+    """Re-check the identity scale*a = slack + sum multiplicities*gens.
+
+    Every entry must be an int: no bool, float or Fraction proves it.
+    """
+    return _identity_holds(ideal, as_exponent_vector(a, ideal.n), k, cert)
+
+
+def _identity_holds(
+    ideal: MonomialIdeal, vec: ExponentVector, k: int, cert: PowerIdentityCertificate
+) -> bool:
+    scale, mults, slack = cert.scale, cert.multiplicities, cert.slack
+    if not all(isinstance(v, int) and not isinstance(v, bool) for v in (scale, *mults, *slack)):
         return False
-    if len(cert.multiplicities) != ideal.num_generators:
+    if scale < 1 or len(mults) != ideal.num_generators or len(slack) != ideal.n:
         return False
-    if len(cert.slack) != ideal.n or any(s < 0 for s in cert.slack):
+    if any(v < 0 for v in (*mults, *slack)) or sum(mults) != scale * k:
         return False
-    if any(t < 0 for t in cert.multiplicities):
-        return False
-    if sum(cert.multiplicities) != cert.scale * k:
-        return False
-    vec = as_exponent_vector(a, ideal.n)
-    for j in range(ideal.n):
-        total = cert.slack[j] + sum(
-            t * g[j] for t, g in zip(cert.multiplicities, ideal.generators)
-        )
-        if total != cert.scale * vec[j]:
-            return False
-    return True
+    rows = ideal.exponent_matrix()
+    return all(s + sum(map(mul, row, mults)) == scale * v for s, row, v in zip(slack, rows, vec))
 
 
 def scaling_membership(

@@ -58,10 +58,11 @@ class MonomialIdeal:
     <= (an antichain), sorted lexicographically.  An empty generator set
     is the zero ideal; the single zero vector is the unit ideal.
 
-    `_cache` holds what the packing oracles derive from the generators:
-    the dual functionals under "dual_functionals", and the last
-    fractional and integer packing answers under "lp" and "ip", each a
-    single (bound, certificate) pair.  It takes no part in equality.
+    `_cache` holds what is derived from the generators: the exponent
+    matrix under "exponent_matrix", the dual functionals under
+    "dual_functionals", and the last fractional and integer packing
+    answers under "lp" and "ip", each a single (bound, certificate)
+    pair.  It takes no part in equality.
     """
 
     __slots__ = ("n", "generators", "_cache")
@@ -98,10 +99,11 @@ class MonomialIdeal:
         return len(self.generators)
 
     def exponent_matrix(self) -> tuple[tuple[int, ...], ...]:
-        """Rows indexed by variable, columns by generator."""
-        return tuple(
-            tuple(g[j] for g in self.generators) for j in range(self.n)
-        )
+        """Rows indexed by variable, columns by generator; computed once."""
+        if "exponent_matrix" not in self._cache:
+            gens = self.generators
+            self._cache["exponent_matrix"] = tuple(tuple(g[j] for g in gens) for j in range(self.n))
+        return self._cache["exponent_matrix"]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MonomialIdeal):

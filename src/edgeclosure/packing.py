@@ -13,11 +13,14 @@ Both answer through one memo step, `_memoized`: look the bound up in
 the ideal's last answer (`_cache["lp"]` or `_cache["ip"]`, one
 `(bound, certificate)` entry apiece), else solve, verify the
 certificate and keep it, so the calls one query makes on the same
-bound solve its program once.  The simplex solves the fractional
-program; branch and bound takes its root relaxation from the
-fractional oracle.  The
-vertices of the dual program, enumerated once per ideal, let bulk
-scans test closure membership with integer dot products alone.
+bound solve its program once.  The LP memo answers a positive
+multiple (p/q)*a0 of its bound a0 with p/q times its answer: Bland's
+rule pivots alike on a positively scaled right-hand side, so that is
+the vertex a new solve returns.  The simplex and the branch and bound
+on its root work on integer numerators over a common denominator;
+`Fraction`s are built only with a certificate.  The vertices of the
+dual program, enumerated once per ideal, let bulk scans test closure
+membership with integer dot products alone.
 """
 from __future__ import annotations
 
@@ -25,6 +28,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Callable, Sequence
 
 from .errors import ResourceCapError, UnitIdealError, ZeroIdealError, check_deadline
@@ -55,7 +59,8 @@ def require_proper(ideal: MonomialIdeal) -> None:
         raise UnitIdealError("the unit ideal has no membership program")
 
 
-def _check_query(ideal: MonomialIdeal, bound: Sequence[int]) -> ExponentVector:
+def check_query(ideal: MonomialIdeal, bound: Sequence[int]) -> ExponentVector:
+    """The bound as an exponent vector of a proper ideal's program."""
     require_proper(ideal)
     return as_exponent_vector(bound, ideal.n)
 
@@ -88,13 +93,28 @@ def fractional_packing(ideal: MonomialIdeal, bound: Sequence[int]) -> Membership
     The program is bounded because every generator has a positive entry,
     so each y_i is capped by some a_j / M[j][i].  The certificate is
     verified when it is built and kept as the ideal's last LP answer: a
-    repeated call with the same bound returns it without solving again.
+    repeated call with the same bound returns it without solving again,
+    and one with a positive multiple of that bound rescales it.
     """
-    return _memoized(ideal, "lp", _check_query(ideal, bound), _solve_lp)
+    return checked_lp(ideal, check_query(ideal, bound))
+
+
+def checked_lp(ideal: MonomialIdeal, a: ExponentVector) -> MembershipCertificate:
+    """`fractional_packing` for a bound already checked by `check_query`."""
+    return _memoized(ideal, "lp", a, _solve_lp)
 
 
 def _solve_lp(ideal: MonomialIdeal, a: ExponentVector) -> MembershipCertificate:
-    value, y = simplex_maximize(ideal.exponent_matrix(), a)
+    a0, cert = ideal._cache.get("lp", ((), None))
+    # a = (p/q) * a0 with p, q > 0, tested by cross-multiplication
+    q, p = next(((u, v) for u, v in zip(a0, a) if u), (0, 0))
+    if p and all(u * p == v * q for u, v in zip(a0, a)):
+        y = tuple(Fraction(v.numerator * p, v.denominator * q) for v in cert.y)
+        value = Fraction(cert.value.numerator * p, cert.value.denominator * q)
+    else:
+        value, nums, den = simplex_maximize(ideal.exponent_matrix(), a)
+        y = tuple(Fraction(t, den) for t in nums)
+        value = Fraction(value, den)
     return MembershipCertificate(y=y, value=value, integral=all(v.denominator == 1 for v in y))
 
 
@@ -108,7 +128,7 @@ def verify_certificate(
     become integer comparisons.  A value or component that is not an
     int or a Fraction (a float, say) is not exact, so it fails.
     """
-    a = _check_query(ideal, bound)
+    a = check_query(ideal, bound)
     exact = (int, Fraction)
     if len(cert.y) != ideal.num_generators or not (
         isinstance(cert.value, exact) and all(isinstance(v, exact) for v in cert.y)
@@ -122,10 +142,7 @@ def verify_certificate(
         return False
     if cert.integral and den != 1:
         return False
-    for j in range(ideal.n):
-        if sum(g[j] * t for g, t in zip(ideal.generators, nums)) > a[j] * den:
-            return False
-    return True
+    return all(sum(map(mul, row, nums)) <= b * den for row, b in zip(ideal.exponent_matrix(), a))
 
 
 def _solve_box_lp(
@@ -133,29 +150,27 @@ def _solve_box_lp(
     a: Sequence[int],
     lower: Sequence[int],
     upper: Sequence[int | None],
-) -> tuple[Fraction, tuple[Fraction, ...]] | None:
+) -> tuple[int, tuple[int, ...], int] | None:
     """LP of a branch-and-bound child: lower <= y (<= upper), M y <= a.
 
-    Returns None when the node is infeasible.  The root, with no bounds,
-    is `fractional_packing` itself.  Substituting z = y - lower turns
-    the box into the standard non-negative form; negative shifted rhs
-    means the node is empty because all matrix entries are non-negative.
-    Branching keeps lower <= upper, so every span upper - lower is >= 0.
+    Returns (value, y, den), the optimum value / den at y / den, or None
+    when the node is infeasible.  The root, with no bounds, is the LP
+    memo's.  Substituting z = y - lower turns the box into the standard
+    non-negative form; negative shifted rhs means the node is empty
+    because all matrix entries are non-negative.  Branching keeps
+    lower <= upper, so every span upper - lower is >= 0.
     """
     m = len(lower)
-    ext_rows = [list(row) for row in rows]
-    ext_rhs = []
-    for j, row in enumerate(rows):
-        r = a[j] - sum(row[i] * lower[i] for i in range(m))
-        if r < 0:
-            return None
-        ext_rhs.append(r)
+    ext_rows = list(rows)
+    ext_rhs = [b - sum(map(mul, row, lower)) for b, row in zip(a, rows)]
+    if min(ext_rhs) < 0:
+        return None
     for i, up in enumerate(upper):
         if up is not None:
             ext_rows.append([1 if t == i else 0 for t in range(m)])
             ext_rhs.append(up - lower[i])
-    value, z = simplex_maximize(ext_rows, ext_rhs)
-    return value + sum(lower), tuple(Fraction(lower[i]) + z[i] for i in range(m))
+    value, z, den = simplex_maximize(ext_rows, ext_rhs)
+    return value + sum(lower) * den, tuple(t + low * den for t, low in zip(z, lower)), den
 
 
 def integer_packing(
@@ -168,12 +183,12 @@ def integer_packing(
     rounded-down LP solution, which is always feasible here.  More than
     DEFAULT_NODE_CAP nodes raise ResourceCapError, and so does passing
     `deadline`, checked on entry and once per node taken off the heap.
-    The root relaxation is `fractional_packing(ideal, bound)`, shared with
-    the LP memo.  The certificate is verified when it is built and kept
-    as the ideal's last IP answer: a repeated call with the same bound
-    checks the deadline, then returns it without branching again.
+    The root relaxation is the LP memo's answer for `bound`.  The
+    certificate is verified when it is built and kept as the ideal's
+    last IP answer: a repeated call with the same bound checks the
+    deadline, then returns it without branching again.
     """
-    a = _check_query(ideal, bound)
+    a = check_query(ideal, bound)
     check_deadline(deadline)
     return _memoized(ideal, "ip", a, _branch_and_bound, deadline)
 
@@ -183,57 +198,45 @@ def _branch_and_bound(
 ) -> MembershipCertificate:
     rows = ideal.exponent_matrix()
     m = ideal.num_generators
-    root = fractional_packing(ideal, a)
-    best = [math.floor(v) for v in root.y]
+    root = checked_lp(ideal, a)
+    den = math.lcm(*(v.denominator for v in root.y))
+    y = tuple(v.numerator * (den // v.denominator) for v in root.y)
+    best = [t // den for t in y]
     best_val = sum(best)
-    # Entries (-bound, insertion count, lower, upper, LP solution): the
-    # count breaks bound ties first in, first out.
+    # Entries (-bound, insertion count, value, lower, upper, y, den) for
+    # the LP optimum value / den at y / den: the count breaks ties of the
+    # exact bound first in, first out.
     counter = 0
-    heap = [(-root.value, counter, (0,) * m, (None,) * m, root.y)]
+    heap = [(-root.value, counter, sum(y), (0,) * m, (None,) * m, y, den)]
     nodes = 0
     while heap:
         check_deadline(deadline)
-        neg_bound, _, lower, upper, y = heapq.heappop(heap)
-        if math.floor(-neg_bound) <= best_val:
+        _, _, value, lower, upper, y, den = heapq.heappop(heap)
+        if value // den <= best_val:
             break  # best-bound order: nothing left can beat the incumbent
         nodes += 1
         if nodes > DEFAULT_NODE_CAP:
             raise ResourceCapError(f"branch-and-bound exceeded {DEFAULT_NODE_CAP} nodes")
-        floors = [math.floor(v) for v in y]
+        floors = [t // den for t in y]
         if sum(floors) > best_val:
             best, best_val = floors, sum(floors)
-        frac_idx = _most_fractional(y)
-        if frac_idx is None:
+        # branch on the y_i / den farthest from an integer, first on ties
+        dists = [min(t % den, -t % den) for t in y]
+        if not any(dists):
             continue  # LP solution integral; the floors above recorded it
-        split = y[frac_idx]
-        lo_branch = list(upper)
-        lo_branch[frac_idx] = math.floor(split)
-        hi_branch = list(lower)
-        hi_branch[frac_idx] = math.ceil(split)
-        for new_lower, new_upper in (
-            (lower, tuple(lo_branch)),
-            (tuple(hi_branch), upper),
-        ):
+        frac_idx = dists.index(max(dists))
+        lo_branch, hi_branch = list(upper), list(lower)
+        lo_branch[frac_idx], hi_branch[frac_idx] = floors[frac_idx], floors[frac_idx] + 1
+        for new_lower, new_upper in ((lower, tuple(lo_branch)), (tuple(hi_branch), upper)):
             sol = _solve_box_lp(rows, a, new_lower, new_upper)
-            if sol is None or math.floor(sol[0]) <= best_val:
+            if sol is None or sol[0] // sol[2] <= best_val:
                 continue
             counter += 1
-            heapq.heappush(heap, (-sol[0], counter, new_lower, new_upper, sol[1]))
+            entry = (Fraction(-sol[0], sol[2]), counter, sol[0], new_lower, new_upper, *sol[1:])
+            heapq.heappush(heap, entry)
     return MembershipCertificate(
-        y=tuple(Fraction(v) for v in best), value=Fraction(best_val), integral=True
+        y=tuple(map(Fraction, best)), value=Fraction(best_val), integral=True
     )
-
-
-def _most_fractional(y: Sequence[Fraction]) -> int | None:
-    best_idx = None
-    best_dist = Fraction(0)
-    for i, v in enumerate(y):
-        frac = v - math.floor(v)
-        dist = min(frac, 1 - frac)
-        if dist > best_dist:
-            best_dist = dist
-            best_idx = i
-    return best_idx
 
 
 def dual_functionals(

@@ -6,13 +6,12 @@ A x <= b, x >= 0 with integer data and b >= 0, whose all-slack basis
 is feasible, so no phase-1 step is needed.  It keeps one integer
 tableau over a common denominator, the last pivot, and divides every
 update exactly by the previous one (Bareiss 1968; Edmonds 1967), so
-optima are exact without any `Fraction` arithmetic until the answer is
-read off.  Bland's rule guarantees termination and makes every solve
-deterministic.
+the optimum is read off the tableau as integer numerators over that
+denominator, and no `Fraction` is built here at all.  Bland's rule
+guarantees termination and makes every solve deterministic.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Sequence
 
 
@@ -28,14 +27,15 @@ def _require_ints(values: Sequence[int], what: str) -> None:
 
 def simplex_maximize(
     rows: Sequence[Sequence[int]], rhs: Sequence[int]
-) -> tuple[Fraction, tuple[Fraction, ...]]:
+) -> tuple[int, tuple[int, ...], int]:
     """Solve max 1.x s.t. rows.x <= rhs, x >= 0 exactly.
 
     The number of variables is the row length; there must be at least
     one row.  Every entry must be an int (not a bool, float or
     Fraction), else ValueError; rhs >= 0 componentwise (callers arrange
-    this).  Returns the optimal value and one optimal vertex, both
-    exact.  The pivot choice is Bland's rule: smallest eligible column,
+    this).  Returns (value, x, den): the optimal value value / den and
+    one optimal vertex x / den, over the tableau's common denominator
+    den > 0, not reduced.  The pivot choice is Bland's rule: smallest eligible column,
     then smallest basic variable on ratio ties.
 
     The tableau holds integers T with a common denominator D > 0: the
@@ -86,11 +86,11 @@ def simplex_maximize(
         den = _pivot(tab, leave, enter, den)
         basis[leave] = enter
 
-    x = [Fraction(0)] * m
+    x = [0] * m
     for i, bv in enumerate(basis):
         if bv < m:
-            x[bv] = Fraction(tab[i][-1], den)
-    return Fraction(-tab[n][-1], den), tuple(x)
+            x[bv] = tab[i][-1]
+    return -tab[n][-1], tuple(x), den
 
 
 def _pivot(tab: list[list[int]], row: int, col: int, den: int) -> int:

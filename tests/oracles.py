@@ -7,19 +7,25 @@ path is right.  They are meant for small instances only.
 """
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from typing import Iterable, Sequence
 
-from edgeclosure.closure import generator_box
 from edgeclosure.covers import PathInstance, _verify_cover
 from edgeclosure.errors import ResourceCapError, check_deadline
 from edgeclosure.graphs import WeightedGraph
-from edgeclosure.ideals import ExponentVector, MonomialIdeal, as_exponent_vector, minimalize
+from edgeclosure.ideals import (
+    ExponentVector,
+    MonomialIdeal,
+    minimalize,
+    power_box,
+)
 from edgeclosure.packing import (
     MembershipCertificate,
+    check_query,
     dual_functionals,
     fractional_packing,
     require_proper,
@@ -28,11 +34,6 @@ from edgeclosure.packing import (
 from edgeclosure.simplex import UnboundedProgramError, solve_integer_system_scaled
 
 Edge = tuple[int, int]
-
-
-def _check_query(ideal: MonomialIdeal, bound: Sequence[int]) -> ExponentVector:
-    require_proper(ideal)
-    return as_exponent_vector(bound, ideal.n)
 
 
 def solve_integer_system(
@@ -201,7 +202,7 @@ def power_by_multisets(ideal: MonomialIdeal, k: int) -> MonomialIdeal:
 
 def fractional_value_by_duality(ideal: MonomialIdeal, bound: Sequence[int]) -> Fraction:
     """The fractional packing value computed as a dual-vertex minimum."""
-    a = _check_query(ideal, bound)
+    a = check_query(ideal, bound)
     best: Fraction | None = None
     for w, s in dual_functionals(ideal):
         val = Fraction(sum(wj * aj for wj, aj in zip(w, a)), s)
@@ -213,7 +214,7 @@ def fractional_value_by_duality(ideal: MonomialIdeal, bound: Sequence[int]) -> F
 
 def enumeration_bounds(ideal: MonomialIdeal, bound: Sequence[int]) -> tuple[int, ...]:
     """Per-generator caps floor(a_j / b_i[j]) over the positive entries."""
-    a = _check_query(ideal, bound)
+    a = check_query(ideal, bound)
     caps = []
     for g in ideal.generators:
         cap = min(a[j] // g[j] for j in range(ideal.n) if g[j] > 0)
@@ -228,7 +229,7 @@ def integer_packing_enumerated(
 
     Walks the full product box of per-variable caps.
     """
-    a = _check_query(ideal, bound)
+    a = check_query(ideal, bound)
     caps = enumeration_bounds(ideal, a)
     volume = math.prod(c + 1 for c in caps)
     if volume > point_cap:
@@ -264,14 +265,67 @@ def integer_packing_enumerated(
     return cert
 
 
+def integer_packing_by_fractions(
+    ideal: MonomialIdeal, bound: Sequence[int]
+) -> MembershipCertificate:
+    """`packing.integer_packing` with every LP solution a tuple of `Fraction`s.
+
+    The same branch and bound as the library, on the `Fraction` tableau
+    of `simplex_maximize_fractions`: root LP, most fractional component
+    by `Fraction` distance (smallest index on ties), best-bound order
+    with first-in-first-out ties, and the rounded-down LP solutions as
+    incumbents, so the two must return the same certificate.
+    """
+    a = check_query(ideal, bound)
+    rows = ideal.exponent_matrix()
+    m = ideal.num_generators
+    root_value, root_y = simplex_maximize_fractions(rows, a)
+    best = [math.floor(v) for v in root_y]
+    best_val = sum(best)
+    counter = 0
+    heap = [(-root_value, counter, (0,) * m, (None,) * m, root_y)]
+    while heap:
+        neg_bound, _, lower, upper, y = heapq.heappop(heap)
+        if math.floor(-neg_bound) <= best_val:
+            break
+        floors = [math.floor(v) for v in y]
+        if sum(floors) > best_val:
+            best, best_val = floors, sum(floors)
+        dists = [min(v - math.floor(v), math.ceil(v) - v) for v in y]
+        if not any(dists):
+            continue
+        i = dists.index(max(dists))
+        lo_branch, hi_branch = list(upper), list(lower)
+        lo_branch[i], hi_branch[i] = floors[i], floors[i] + 1
+        for new_lower, new_upper in ((lower, tuple(lo_branch)), (tuple(hi_branch), upper)):
+            # the box lower <= y <= upper, shifted to z = y - lower >= 0
+            rhs = [a[j] - sum(r * lo for r, lo in zip(row, new_lower)) for j, row in enumerate(rows)]
+            if min(rhs) < 0:
+                continue
+            ext_rows = [list(row) for row in rows]
+            for t, up in enumerate(new_upper):
+                if up is not None:
+                    ext_rows.append([int(t == u) for u in range(m)])
+                    rhs.append(up - new_lower[t])
+            value, z = simplex_maximize_fractions(ext_rows, rhs)
+            value += sum(new_lower)
+            if math.floor(value) > best_val:
+                counter += 1
+                sol = tuple(lo + v for lo, v in zip(new_lower, z))
+                heapq.heappush(heap, (-value, counter, new_lower, new_upper, sol))
+    return MembershipCertificate(
+        y=tuple(Fraction(v) for v in best), value=Fraction(best_val), integral=True
+    )
+
+
 def closure_generators_bruteforce(
     ideal: MonomialIdeal, k: int, *, box_cap: int = 200_000
 ) -> tuple[ExponentVector, ...]:
     """Per-point simplex over the full closure box, no duality."""
     if k < 1:
         raise ValueError(f"power must be >= 1, got {k}")
-    box = generator_box(ideal, k)
-    shape = tuple(b + 1 for b in box)
+    require_proper(ideal)
+    shape = tuple(b + 1 for b in power_box(ideal, k))
     if math.prod(shape) > box_cap:
         raise ResourceCapError("brute-force box too large")
     members: set[tuple[int, ...]] = set()

@@ -127,16 +127,16 @@ class TestWitness:
     def test_trivial_weight_rejected(self, capsys):
         assert main(["witness", "--pattern", "p3", "--weights", "1,2"]) == 2
 
-    def test_triangle_makes_three_solves(self, capsys, solve_keys):
+    def test_triangle_makes_two_solves(self, capsys, solve_keys):
         # The LP of w serves the transcript, the power identity, scaling's
-        # default bound and the IP root at s = 1; then come one
-        # branch-and-bound child and the root of 2w.
+        # default bound and the IP root at s = 1; then comes one
+        # branch-and-bound child.  The root of 2w is the LP of w, rescaled.
         code = main(
             ["witness", "--pattern", "triangle", "--weights", "2,3,2", "--json"]
         )
         assert code == 0
-        assert len(solve_keys) == 3
-        assert len(set(solve_keys)) == 3
+        assert len(solve_keys) == 2
+        assert len(set(solve_keys)) == 2
         edges = [{"u": 1, "v": 2, "w": 2}, {"u": 1, "v": 3, "w": 2}, {"u": 2, "v": 3, "w": 3}]
         expected = {
             "graph": {"edges": edges, "n": 3},

@@ -3,6 +3,7 @@ import json
 import math
 import time
 import tracemalloc
+from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
@@ -13,7 +14,6 @@ from edgeclosure.closure import (
     _sweep,
     _sweep_width,
     closure_generators,
-    generator_box,
     is_integrally_closed,
     is_normal_up_to,
     power_identity_certificate,
@@ -28,7 +28,7 @@ from edgeclosure.graphs import (
     forbidden_pattern_scan,
     path_graph,
 )
-from edgeclosure.ideals import MonomialIdeal, divides, member, minimalize, power
+from edgeclosure.ideals import MonomialIdeal, divides, member, minimalize, power, power_box
 from edgeclosure.packing import (
     dual_functionals,
     fractional_packing,
@@ -40,6 +40,7 @@ from oracles import closure_generators_bruteforce, induced_subgraph, sweep_point
 
 PAIR = MonomialIdeal(3, [(2, 2, 0), (0, 2, 2)])
 TRIANGLE = MonomialIdeal(3, [(2, 2, 0), (0, 2, 2), (2, 0, 2)])
+UNITS = ((0, 1), (1, 0))  # the generators x2, x1
 
 
 def sweep_width_cases():
@@ -95,7 +96,7 @@ class TestClosureGenerators:
             (MonomialIdeal(4, [(2, 0, 2, 0), (0, 0, 2, 2)]), 2),
         ]
         for ideal, k in cases:
-            box = generator_box(ideal, k)
+            box = power_box(ideal, k)
             shape = tuple(b + 1 for b in box)
             fs = dual_functionals(ideal)
             assert _sweep(shape, fs, k, None) == sweep_point_by_point(
@@ -134,7 +135,7 @@ class TestClosureGenerators:
         for _ in range(200):
             ideal = random_proper_ideal(rng, n_max=4, m_max=4, entry_max=3)
             k = rng.randint(1, 3)
-            shape = tuple(b + 1 for b in generator_box(ideal, k))
+            shape = tuple(b + 1 for b in power_box(ideal, k))
             fs = dual_functionals(ideal)
             assert _sweep(shape, fs, k, None) == sweep_point_by_point(
                 shape, fs, k, None
@@ -143,7 +144,7 @@ class TestClosureGenerators:
     def test_sweep_memory_per_box_point(self):
         # 3,956,121 box points; the sweep keeps one entry per column
         ideal = edge_ideal(cycle_graph((2, 1, 3, 1, 4, 1)))
-        volume = math.prod(b + 1 for b in generator_box(ideal, 4))
+        volume = math.prod(b + 1 for b in power_box(ideal, 4))
         dual_functionals(ideal)
         tracemalloc.start()
         try:
@@ -156,7 +157,7 @@ class TestClosureGenerators:
     def test_sweep_bytes_per_column(self):
         # int16 heights: the same sweep in int64 takes 10.6 B per column
         ideal = edge_ideal(cycle_graph((2, 1, 3, 1, 4, 1)))
-        shape = [b + 1 for b in generator_box(ideal, 4)]
+        shape = [b + 1 for b in power_box(ideal, 4)]
         columns = math.prod(shape) // max(shape)
         assert columns == 232_713
         closure_generators(ideal, 1)  # loads numpy, caches the duals
@@ -181,7 +182,7 @@ class TestClosureGenerators:
     def test_heavy_path_sweeps_in_int32(self, monkeypatch):
         # a box under the default cap whose functional values pass 2**14
         ideal = edge_ideal(path_graph((193, 180)))
-        shape = tuple(b + 1 for b in generator_box(ideal, 1))
+        shape = tuple(b + 1 for b in power_box(ideal, 1))
         col = max(range(len(shape)), key=shape.__getitem__)
         assert _sweep_width(shape, dual_functionals(ideal), 1, col) == "int32"
         got = closure_generators(ideal, 1)
@@ -193,7 +194,7 @@ class TestClosureGenerators:
     def test_outputs_lie_in_box(self, rng):
         for _ in range(10):
             ideal = random_proper_ideal(rng, n_max=4, m_max=3, entry_max=3)
-            box = generator_box(ideal, 2)
+            box = power_box(ideal, 2)
             for g in closure_generators(ideal, 2):
                 assert all(v <= b for v, b in zip(g, box))
 
@@ -474,18 +475,24 @@ class TestPowerIdentity:
         assert not verify_power_identity(PAIR, (1, 4, 1), 1, bad)
 
     @pytest.mark.parametrize(
-        "scale, multiplicities, slack",
-        [(0, (0, 0), (0, 0)), (1, (1, 0, 0), (5, 4)), (1, (1, 0), (5, 4, 7)),
-         (1, (2, -1), (6, 3)), (1, (1, 1), (4, 4))],
+        "generators, a, scale, multiplicities, slack",
+        [(UNITS, (5, 5), 0, (0, 0), (0, 0)), (UNITS, (5, 5), 1, (1, 0, 0), (5, 4)),
+         (UNITS, (5, 5), 1, (1, 0), (5, 4, 7)), (UNITS, (5, 5), 1, (2, -1), (6, 3)),
+         (UNITS, (5, 5), 1, (1, 1), (4, 4)),
+         # x1*x2 is not in (x1^2, x2^2), though half of each generator sums to it
+         (((0, 2), (2, 0)), (1, 1), 1, (Fraction(1, 2), Fraction(1, 2)), (0, 0)),
+         (UNITS, (5, 5), 1.0, (1.0, 0.0), (5.0, 4.0))],
         ids=["scale-zero", "multiplicities-length", "slack-length", "negative-multiplicity",
-             "wrong-total"],
+             "wrong-total", "fractional-multiplicity", "float-entries"],
     )
-    def test_verify_rejects_each_broken_condition(self, scale, multiplicities, slack):
+    def test_verify_rejects_each_broken_condition(
+        self, generators, a, scale, multiplicities, slack
+    ):
         # Each case breaks one condition and satisfies the slack equation
-        # scale * (5, 5) = slack + sum of multiplicities * generators.
-        ideal = MonomialIdeal(2, [(0, 1), (1, 0)])
+        # scale * a = slack + sum of multiplicities * generators.
+        ideal = MonomialIdeal(2, generators)
         cert = PowerIdentityCertificate(scale, multiplicities, slack)
-        assert not verify_power_identity(ideal, (5, 5), 1, cert)
+        assert not verify_power_identity(ideal, a, 1, cert)
 
     def test_soundness_chain_on_closure_generators(self, rng):
         # every claimed closure member is backed by an exact identity

@@ -193,6 +193,14 @@ class TestFlatIndex:
         assert box_strides(()) == ()
 
 
+class TestExponentMatrix:
+    def test_rows_by_variable_computed_once(self):
+        ideal = MonomialIdeal(3, [(2, 2, 0), (0, 2, 2)])
+        assert ideal.exponent_matrix() == ((0, 2), (2, 2), (2, 0))
+        assert ideal.exponent_matrix() is ideal.exponent_matrix()
+        assert MonomialIdeal(2, []).exponent_matrix() == ((), ())
+
+
 class TestMember:
     def test_examples(self):
         ideal = MonomialIdeal(3, [(2, 2, 0), (0, 2, 2)])

@@ -13,6 +13,13 @@ from edgeclosure.simplex import (
 from oracles import simplex_maximize_fractions, solve_integer_system
 
 
+def simplex_fractions(rows, rhs):
+    """`simplex_maximize` read as exact values: each numerator over den."""
+    value, x, den = simplex_maximize(rows, rhs)
+    assert den > 0
+    return Fraction(value, den), tuple(Fraction(t, den) for t in x)
+
+
 def _solve(solver, rows, rhs):
     try:
         return solver(rows, rhs)
@@ -53,17 +60,18 @@ def box_lps(draw):
 class TestSimplex:
     def test_two_variable_polygon(self):
         # max y1 + y2 with 2y1 <= 1, 2y1 + 2y2 <= 4, 2y2 <= 1
-        value, y = simplex_maximize([[2, 0], [2, 2], [0, 2]], [1, 4, 1])
+        value, y = simplex_fractions([[2, 0], [2, 2], [0, 2]], [1, 4, 1])
         assert value == 1
         assert y == (Fraction(1, 2), Fraction(1, 2))
 
     def test_single_variable(self):
-        value, y = simplex_maximize([[3]], [7])
+        assert simplex_maximize([[3]], [7]) == (7, (7,), 3)
+        value, y = simplex_fractions([[3]], [7])
         assert value == Fraction(7, 3)
         assert y == (Fraction(7, 3),)
 
     def test_zero_rhs_pins_solution_at_origin(self):
-        value, y = simplex_maximize([[1, 0], [0, 1]], [0, 0])
+        value, y = simplex_fractions([[1, 0], [0, 1]], [0, 0])
         assert value == 0
         assert y == (Fraction(0), Fraction(0))
 
@@ -85,7 +93,7 @@ class TestSimplex:
 
     def test_degenerate_constraints_terminate(self):
         # redundant and degenerate rows exercise Bland's rule
-        value, y = simplex_maximize([[1, 1], [1, 1], [2, 2], [1, 0]], [2, 2, 4, 2])
+        value, y = simplex_fractions([[1, 1], [1, 1], [2, 2], [1, 0]], [2, 2, 4, 2])
         assert value == 2
 
     @settings(max_examples=400, deadline=None)
@@ -104,12 +112,12 @@ class TestSimplex:
     )
     @example(([[1, 4, 2, 4], [4, 2, 3, 1], [4, 2, 3, 1]], [6, 3, 3]))
     def test_matches_fraction_tableau_on_packing_lps(self, lp):
-        assert _solve(simplex_maximize, *lp) == _solve(simplex_maximize_fractions, *lp)
+        assert _solve(simplex_fractions, *lp) == _solve(simplex_maximize_fractions, *lp)
 
     @settings(max_examples=300, deadline=None)
     @given(box_lps())
     def test_matches_fraction_tableau_on_box_lps(self, lp):
-        assert _solve(simplex_maximize, *lp) == _solve(simplex_maximize_fractions, *lp)
+        assert _solve(simplex_fractions, *lp) == _solve(simplex_maximize_fractions, *lp)
 
     @pytest.mark.parametrize(
         "bad",
