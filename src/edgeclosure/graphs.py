@@ -133,54 +133,37 @@ def forbidden_pattern_scan(g: WeightedGraph) -> PatternWitness | None:
     Every pattern contains two heavy edges, so the scan inspects pairs
     of heavy edges plus local adjacency.  Among all occurrences it
     returns the smallest kind (path < disjoint pair < triangle), then
-    the lexicographically smallest vertex tuple.
+    the lexicographically smallest vertex tuple.  The heavy edges come
+    sorted, so a pair (a, b), (c, d) taken in order has a <= c: the two
+    share a vertex iff a == c, b == c or b == d, and two disjoint edges
+    are already in canonical order.
     """
     heavy = g.heavy_edges()
     weight_of = {(u, v): w for u, v, w in g.edges}
-
-    def lookup(u: int, v: int) -> int | None:
-        return weight_of.get((u, v) if u < v else (v, u))
-
-    candidates: set[PatternWitness] = set()
+    best = None  # (kind rank, vertices, weights) of the least pattern so far
     for i, (a, b, w1) in enumerate(heavy):
         for c, d, w2 in heavy[i + 1:]:
-            shared = {a, b} & {c, d}
-            if len(shared) == 1:
-                mid = shared.pop()
-                p, q = sorted(({a, b} | {c, d}) - {mid})
-                third = lookup(p, q)
+            if a == c or b == c or b == d:
+                mid = a if a == c else b
+                p, q = (b, d) if a == c else (a, d) if b == c else (a, c)
+                third = weight_of.get((p, q))
                 if third is None:
-                    candidates.add(
-                        PatternWitness(
-                            PatternKind.HEAVY_P3,
-                            (p, mid, q),
-                            (lookup(p, mid), lookup(mid, q)),
-                        )
-                    )
+                    found = (0, (p, mid, q), (w1, w2))
                 elif third >= HEAVY:
                     x, y, z = sorted((p, mid, q))
-                    candidates.add(
-                        PatternWitness(
-                            PatternKind.HEAVY_TRIANGLE,
-                            (x, y, z),
-                            (lookup(x, y), lookup(y, z), lookup(x, z)),
-                        )
-                    )
-            elif not shared:
-                cross = [(a, c), (a, d), (b, c), (b, d)]
-                if all(lookup(u, v) is None for u, v in cross):
-                    first, second = sorted([(a, b, w1), (c, d, w2)])
-                    candidates.add(
-                        PatternWitness(
-                            PatternKind.HEAVY_2K2,
-                            (first[0], first[1], second[0], second[1]),
-                            (first[2], second[2]),
-                        )
-                    )
-    if not candidates:
+                    found = (2, (x, y, z), (weight_of[x, y], weight_of[y, z], weight_of[x, z]))
+                else:
+                    continue
+            elif weight_of.keys().isdisjoint(((a, c), (a, d), (b, c), (c, b), (b, d), (d, b))):
+                found = (1, (a, b, c, d), (w1, w2))  # a < c < d; b may lie anywhere
+            else:
+                continue
+            if best is None or found[:2] < best[:2]:
+                best = found
+    if best is None:
         return None
-    rank = list(PatternKind).index
-    return min(candidates, key=lambda c: (rank(c.kind), c.vertices))
+    rank, vertices, weights = best
+    return PatternWitness(tuple(PatternKind)[rank], vertices, weights)
 
 
 def _witness_exponents(kind: PatternKind, weights: Sequence[int]) -> ExponentVector:

@@ -8,7 +8,7 @@ equal and all derived output is deterministic.
 from __future__ import annotations
 
 from itertools import accumulate
-from operator import mul
+from operator import le, mul
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatchError, check_deadline
@@ -48,7 +48,7 @@ def divides(d: Sequence[int], a: Sequence[int]) -> bool:
     """True iff x^d divides x^a, i.e. d <= a componentwise."""
     if len(d) != len(a):
         raise DimensionMismatchError(f"lengths differ: {len(d)} vs {len(a)}")
-    return all(di <= ai for di, ai in zip(d, a))
+    return all(map(le, d, a))
 
 
 class MonomialIdeal:
@@ -75,10 +75,11 @@ class MonomialIdeal:
             raise ValueError("duplicate generators")
         # Sorted and distinct, so no vector divides one before it.  A
         # zero vector sorts first and divides every other generator, so
-        # this check also keeps it to the unit ideal.
+        # this check also keeps it to the unit ideal.  All have length
+        # n, so `divides` is d <= a componentwise.
         for i, d in enumerate(gens):
             for a in gens[i + 1:]:
-                if divides(d, a):
+                if all(map(le, d, a)):
                     raise ValueError(
                         f"generators are not an antichain: {d} vs {a}"
                     )

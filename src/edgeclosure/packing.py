@@ -273,8 +273,7 @@ def dual_functionals(
     tight = [((1 << d) - 1) ^ (1 << j) for j in range(d)]
     for i, g in enumerate(ideal.generators):
         check_deadline(deadline)
-        entries = [(j, e) for j, e in enumerate(g) if e]
-        values = [sum(e * r[j] for j, e in entries) - r[n] for r in rays]
+        values = [sum(map(mul, g, r)) - r[n] for r in rays]  # map stops at g's n entries
         bit = 1 << (d + i)
         kept = [r for r, v in zip(rays, values) if v >= 0]
         kept_tight = [z | bit if v == 0 else z for z, v in zip(tight, values) if v >= 0]
@@ -285,11 +284,11 @@ def dual_functionals(
             for q in neg:
                 common = tight[p] & tight[q]
                 # Adjacent rays share a 2-face: at least d - 2 tight
-                # constraints, and no third ray tight on all of them.
-                if common.bit_count() < d - 2 or any(
-                    z & common == common and o != p and o != q
-                    for o, z in enumerate(tight)
-                ):
+                # constraints, and no third ray tight on all of them
+                # (p and q are tight on all of them, so they count 2).
+                if common.bit_count() < d - 2 or [
+                    z & common for z in tight
+                ].count(common) != 2:
                     continue
                 vq = -values[q]
                 ray = [vp * a + vq * b for a, b in zip(rays[q], rays[p])]

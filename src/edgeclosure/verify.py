@@ -13,15 +13,16 @@ scan-clean graph is probed by the engine (dual enumeration and the box
 sweep of `closure`) to kmax, 1 in thm36 mode.  A flagged graph is
 decided at k = 1 by the paper's witness for the pattern the scan found,
 lifted onto the graph: x^a outside I with x^(2a) in I^2 proves I not
-integrally closed, by two exact divisibility tests.  Only when that
-certificate fails, which a correct scan never causes, does the engine
-probe a flagged graph at k = 1, so records and violation texts are the
-ones the engine alone would give.  A record is consistent iff
-"scan-clean" agrees with "every probed power closed"; an inconsistent
-record adds a violation and flips the run's `passed` flag.  Serialized
-runs omit wall times so identical inputs yield byte-identical JSON.  A
-negative weight bound or sample size, or a universe with no graph in
-it, raises ValueError rather than passing vacuously.
+integrally closed, by two exact divisibility tests on the graph's edges,
+so a refuted graph needs no ideal.  Only when that certificate fails,
+which a correct scan never causes, does the engine probe a flagged
+graph at k = 1, so records and violation texts are the ones the engine
+alone would give.  A record is consistent iff "scan-clean" agrees with
+"every probed power closed"; an inconsistent record adds a violation
+and flips the run's `passed` flag.  Serialized runs omit wall times so
+identical inputs yield byte-identical JSON.  A negative weight bound or
+sample size, or a universe with no graph in it, raises ValueError
+rather than passing vacuously.
 """
 from __future__ import annotations
 
@@ -29,7 +30,6 @@ import itertools
 import random
 import time
 from dataclasses import dataclass, field
-from operator import sub
 from typing import Iterable, Iterator, Sequence
 
 from .closure import DEFAULT_BOX_CAP, is_normal_up_to
@@ -44,7 +44,7 @@ from .graphs import (
     star_graph,
     to_jsonable,
 )
-from .ideals import MonomialIdeal, divides, member
+from .ideals import as_exponent_vector
 
 
 @dataclass(frozen=True)
@@ -155,9 +155,9 @@ def _probe(
     The graph with no edges has the zero ideal, closed without an engine
     call.  A flagged graph is decided at k = 1 by its lifted witness when
     `_refuted_by_lift` holds, and by the engine otherwise; a scan-clean
-    graph always goes to the engine, up to kmax.  The record is
-    consistent iff the scan is clean exactly when every probed power is
-    closed.
+    graph always goes to the engine, up to kmax.  Only a graph that goes
+    to the engine has its edge ideal built.  The record is consistent
+    iff the scan is clean exactly when every probed power is closed.
     """
     for key, g in keyed_graphs:
         start = time.monotonic()
@@ -166,19 +166,17 @@ def _probe(
         bad = None
         if not g.edges:
             closed_by_k = ((1, True),)
+        elif witness is not None and _refuted_by_lift(g, witness):
+            closed_by_k = ((1, False),)
         else:
-            ideal = edge_ideal(g)
-            if witness is not None and _refuted_by_lift(ideal, witness):
-                closed_by_k = ((1, False),)
-            else:
-                reports = is_normal_up_to(
-                    ideal,
-                    kmax if witness is None else 1,
-                    box_cap=box_cap,
-                    deadline=deadline,
-                )
-                bad = next((r for r in reports if not r.closed), None)
-                closed_by_k = tuple((r.k, r.closed) for r in reports)
+            reports = is_normal_up_to(
+                edge_ideal(g),
+                kmax if witness is None else 1,
+                box_cap=box_cap,
+                deadline=deadline,
+            )
+            bad = next((r for r in reports if not r.closed), None)
+            closed_by_k = tuple((r.k, r.closed) for r in reports)
         closed = all(c for _, c in closed_by_k)
         consistent = (witness is None) == closed
         run.records.append(
@@ -199,30 +197,40 @@ def _probe(
     return run
 
 
-def _refuted_by_lift(ideal: MonomialIdeal, witness: PatternWitness) -> bool:
-    """True when the lift a of `witness` proves I not integrally closed.
+def _refuted_by_lift(g: WeightedGraph, witness: PatternWitness) -> bool:
+    """True when the lift a of `witness` proves g's edge ideal I not closed.
 
     It does when x^a is outside I and x^(2a) inside I^2, for then x^a is
     integral over I (Swanson-Huneke 2006, §1.4).  Both tests are exact
-    divisibility: x^(2a) is in I^2 iff some generator g divides 2a with
-    x^(2a - g) in I, and only the generators dividing 2a can take part:
-    they are edges between the pattern's vertices, so the test stays
-    small on a graph with many edges, where the set of all 2-sums of
-    generators would not.  A scan the lift does not fit (vertices outside 1..n, a weight below
-    2) or whose lift leaves the 64-bit exponent range, and a pattern
-    that is not induced, give False: the engine decides those graphs.
+    divisibility on the edges, whose vectors are I's generators: x^a is
+    in I iff some edge (u, v, w) has w <= a_u and w <= a_v, and x^(2a)
+    is in I^2 iff two edges e and f (maybe equal), both dividing 2a,
+    have f dividing 2a - vec(e).  Only the edges dividing 2a can take
+    part, and they join the pattern's vertices, so the test stays small
+    on a graph with many edges.  A scan the lift does not fit (vertices
+    outside 1..n, a weight below 2) or whose lift leaves the 64-bit
+    exponent range, and a pattern that is not induced, give False: the
+    engine decides those graphs.  A weight beyond 64 bits raises the
+    OverflowError that building the ideal with `edge_ideal` would.
     """
+    as_exponent_vector([w for _, _, w in g.edges])  # edge_ideal's range check
     try:
-        a = lifted_witness(witness, ideal.n)
-        if member(ideal, a):
-            return False
+        a = as_exponent_vector(lifted_witness(witness, g.n))
     except (ValueError, OverflowError):
         return False
-    double = tuple(2 * e for e in a)
-    below = [g for g in ideal.generators if divides(g, double)]
-    return any(
-        divides(h, tuple(map(sub, double, g))) for g in below for h in below
-    )
+    if any(w <= a[u - 1] and w <= a[v - 1] for u, v, w in g.edges):
+        return False
+    double = [2 * e for e in a]
+    below = [
+        (u - 1, v - 1, w) for u, v, w in g.edges if w <= double[u - 1] and w <= double[v - 1]
+    ]
+    for u, v, w in below:
+        rest = double.copy()  # 2a - vec(e) for the edge e = (u, v, w)
+        rest[u] -= w
+        rest[v] -= w
+        if any(x <= rest[p] and x <= rest[q] for p, q, x in below):
+            return True
+    return False
 
 
 def check_equivalence(

@@ -1,9 +1,11 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import strategies as st
 
 import edgeclosure.packing
+from edgeclosure.graphs import WeightedGraph
 from edgeclosure.ideals import MonomialIdeal, minimalize
 
 
@@ -34,6 +36,16 @@ def proper_ideals(draw) -> MonomialIdeal:
         st.lists(st.tuples(*[st.integers(0, 4)] * n).filter(any), min_size=1, max_size=6)
     )
     return minimalize(vectors, n)
+
+
+@st.composite
+def weighted_graphs(draw, n_max: int = 7, weight_max: int = 3) -> WeightedGraph:
+    """Hypothesis strategy: a labeled graph on 1..n, n <= n_max, each
+    pair absent or weighted 1..weight_max."""
+    n = draw(st.integers(1, n_max))
+    pairs = list(combinations(range(1, n + 1), 2))
+    ws = draw(st.lists(st.integers(0, weight_max), min_size=len(pairs), max_size=len(pairs)))
+    return WeightedGraph(n, tuple((u, v, w) for (u, v), w in zip(pairs, ws) if w))
 
 
 @pytest.fixture

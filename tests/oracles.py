@@ -16,10 +16,19 @@ from typing import Iterable, Sequence
 
 from edgeclosure.covers import PathInstance, _verify_cover
 from edgeclosure.errors import ResourceCapError, check_deadline
-from edgeclosure.graphs import WeightedGraph
+from edgeclosure.graphs import (
+    HEAVY,
+    PatternKind,
+    PatternWitness,
+    WeightedGraph,
+    edge_ideal,
+    lifted_witness,
+)
 from edgeclosure.ideals import (
     ExponentVector,
     MonomialIdeal,
+    divides,
+    member,
     minimalize,
     power_box,
 )
@@ -509,3 +518,79 @@ def induced_subgraph(
         if u in relabel and v in relabel
     )
     return WeightedGraph(len(order), edges), order
+
+
+def pattern_scan_by_candidates(g: WeightedGraph) -> PatternWitness | None:
+    """`graphs.forbidden_pattern_scan` through a set of every occurrence.
+
+    Builds a `PatternWitness` for each forbidden pattern that a pair of
+    heavy edges spans and returns the least one by (kind rank, vertex
+    tuple), where the library keeps only the least so far.
+    """
+    heavy = g.heavy_edges()
+    weight_of = {(u, v): w for u, v, w in g.edges}
+
+    def lookup(u: int, v: int) -> int | None:
+        return weight_of.get((u, v) if u < v else (v, u))
+
+    candidates: set[PatternWitness] = set()
+    for i, (a, b, w1) in enumerate(heavy):
+        for c, d, w2 in heavy[i + 1:]:
+            shared = {a, b} & {c, d}
+            if len(shared) == 1:
+                mid = shared.pop()
+                p, q = sorted(({a, b} | {c, d}) - {mid})
+                third = lookup(p, q)
+                if third is None:
+                    candidates.add(
+                        PatternWitness(
+                            PatternKind.HEAVY_P3,
+                            (p, mid, q),
+                            (lookup(p, mid), lookup(mid, q)),
+                        )
+                    )
+                elif third >= HEAVY:
+                    x, y, z = sorted((p, mid, q))
+                    candidates.add(
+                        PatternWitness(
+                            PatternKind.HEAVY_TRIANGLE,
+                            (x, y, z),
+                            (lookup(x, y), lookup(y, z), lookup(x, z)),
+                        )
+                    )
+            elif not shared:
+                cross = [(a, c), (a, d), (b, c), (b, d)]
+                if all(lookup(u, v) is None for u, v in cross):
+                    first, second = sorted([(a, b, w1), (c, d, w2)])
+                    candidates.add(
+                        PatternWitness(
+                            PatternKind.HEAVY_2K2,
+                            (first[0], first[1], second[0], second[1]),
+                            (first[2], second[2]),
+                        )
+                    )
+    if not candidates:
+        return None
+    rank = list(PatternKind).index
+    return min(candidates, key=lambda c: (rank(c.kind), c.vertices))
+
+
+def refuted_by_lift_on_ideal(g: WeightedGraph, witness: PatternWitness) -> bool:
+    """`verify._refuted_by_lift` on the edge ideal's generators.
+
+    Builds the ideal, so a weight beyond 64 bits raises its
+    OverflowError, then tests x^a outside I by `member` and x^(2a) in
+    I^2 by generator divisibility, with the same fallbacks to False.
+    """
+    ideal = edge_ideal(g)
+    try:
+        a = lifted_witness(witness, ideal.n)
+        if member(ideal, a):
+            return False
+    except (ValueError, OverflowError):
+        return False
+    double = tuple(2 * e for e in a)
+    below = [h for h in ideal.generators if divides(h, double)]
+    return any(
+        divides(f, tuple(e - x for e, x in zip(double, h))) for h in below for f in below
+    )

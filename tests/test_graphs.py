@@ -1,7 +1,9 @@
+import hashlib
 import json
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
 
 from edgeclosure.closure import is_integrally_closed
 from edgeclosure.errors import GraphFormatError
@@ -17,12 +19,14 @@ from edgeclosure.graphs import (
     path_graph,
     pattern_witness,
     star_graph,
+    to_jsonable,
 )
 from edgeclosure.ideals import member, power
 from edgeclosure.packing import fractional_packing
 from edgeclosure.verify import enumerate_weighted_graphs
 
-from oracles import induced_subgraph
+from conftest import weighted_graphs
+from oracles import induced_subgraph, pattern_scan_by_candidates
 
 
 class TestEdgeIdeal:
@@ -131,6 +135,30 @@ class TestScan:
                     for i, (u, v) in enumerate(pairs)
                 )
                 assert forbidden_pattern_scan(WeightedGraph(n, edges)) is None
+
+    def test_matches_the_candidate_set_oracle_on_every_small_graph(self):
+        graphs = [g for n in range(1, 5) for g in enumerate_weighted_graphs(n, 3)]
+        assert len(graphs) == 4165
+        for g in graphs:
+            assert forbidden_pattern_scan(g) == pattern_scan_by_candidates(g), g
+
+    @settings(max_examples=300, deadline=None)
+    @given(weighted_graphs())
+    def test_matches_the_candidate_set_oracle(self, g):
+        assert forbidden_pattern_scan(g) == pattern_scan_by_candidates(g)
+
+    def test_scan_bytes_are_pinned(self):
+        # sha256 of the JSON of every scan with n <= 5 and w <= 2, as
+        # the candidate-set scan wrote it
+        rows = [
+            to_jsonable(forbidden_pattern_scan(g))
+            for n in range(1, 6)
+            for g in enumerate_weighted_graphs(n, 2)
+        ]
+        assert len(rows) == 59809
+        assert sum(r is not None for r in rows) == 40713
+        digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+        assert digest == "867aa24ad575d4401d775cc330c4c453240c81d7e1d7e7ff07312ca72c81ec92"
 
 
 class TestPatternWitness:

@@ -3,6 +3,8 @@ import itertools
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import edgeclosure.verify
 from edgeclosure.errors import ResourceCapError
@@ -23,6 +25,9 @@ from edgeclosure.verify import (
     run_normality_check,
     sample_weighted_graphs,
 )
+
+from conftest import weighted_graphs
+from oracles import refuted_by_lift_on_ideal
 
 
 @pytest.fixture
@@ -188,6 +193,72 @@ class TestFlaggedGraphs:
         with pytest.raises(ResourceCapError):
             check_equivalence([g], descriptor={})
         assert engine_ideals == [edge_ideal(g)]
+
+    def test_refuted_graphs_build_no_ideal(self, monkeypatch):
+        built = []
+        build = edgeclosure.verify.edge_ideal
+
+        def spy(g):
+            built.append(g)
+            return build(g)
+
+        monkeypatch.setattr(edgeclosure.verify, "edge_ideal", spy)
+        assert run_equivalence_check(4, 3).passed
+        # one ideal per scan-clean graph with edges, for the engine
+        assert len(built) == 1329
+        assert all(forbidden_pattern_scan(g) is None for g in built)
+
+    @pytest.mark.parametrize(
+        "edges, named",
+        [
+            (((1, 2, 2), (3, 4, 2), (5, 6, 2**64)), 2**64),
+            (((1, 2, 2), (3, 4, 2), (5, 6, 2**64), (7, 8, 2**65)), 2**64),
+        ],
+    )
+    def test_weight_beyond_64_bits_raises_before_the_lift(self, engine_ideals, edges, named):
+        # The lift of the heavy pair 1-2, 3-4 would refute the graph, but
+        # building its ideal refuses the first huge weight in edge order.
+        g = WeightedGraph(8, edges)
+        message = f"^exponent {named} exceeds 64-bit range$"
+        with pytest.raises(OverflowError, match=message):
+            check_equivalence([g], descriptor={})
+        with pytest.raises(OverflowError, match=message):
+            edge_ideal(g)
+        assert engine_ideals == []
+
+
+class TestLiftOnEdges:
+    """`_refuted_by_lift` against the same tests on the edge ideal."""
+
+    def test_matches_the_ideal_oracle_on_every_flagged_small_graph(self):
+        flagged = 0
+        for n in range(1, 5):
+            for g in enumerate_weighted_graphs(n, 3):
+                witness = forbidden_pattern_scan(g)
+                if witness is not None:
+                    flagged += 1
+                    assert edgeclosure.verify._refuted_by_lift(g, witness), g
+                    assert refuted_by_lift_on_ideal(g, witness), g
+        assert flagged == 2832
+
+    @settings(max_examples=300, deadline=None)
+    @given(weighted_graphs(), st.data())
+    def test_matches_the_ideal_oracle(self, g, data):
+        # the scan's own witness, then a made-up one that may be light,
+        # not induced, or off the graph's vertices
+        witness = forbidden_pattern_scan(g)
+        if witness is not None:
+            assert edgeclosure.verify._refuted_by_lift(g, witness)
+            assert refuted_by_lift_on_ideal(g, witness)
+        kind = data.draw(st.sampled_from(list(PatternKind)))
+        size = 4 if kind is PatternKind.HEAVY_2K2 else 3
+        arity = 3 if kind is PatternKind.HEAVY_TRIANGLE else 2
+        order = data.draw(st.permutations(range(1, max(g.n, size) + 1)))
+        weight = st.sampled_from((1, 2, 2, 3, 3))  # heavy twice as often as light
+        weights = data.draw(st.lists(weight, min_size=arity, max_size=arity))
+        fake = PatternWitness(kind, tuple(order[:size]), tuple(weights))
+        expected = refuted_by_lift_on_ideal(g, fake)
+        assert edgeclosure.verify._refuted_by_lift(g, fake) == expected
 
 
 # sha256 of json.dumps(run.to_jsonable(), indent=2, sort_keys=True) as
