@@ -49,6 +49,7 @@ from .packing import (
     checked_lp,
     dual_functionals,
     fractional_packing,
+    integer_form,
     integer_packing,
     require_proper,
 )
@@ -280,8 +281,7 @@ def power_identity_certificate(
         raise ValueError(
             f"x^a is not in the closure of I^{k}: packing value {packing.value} < {k}"
         )
-    den = math.lcm(*(v.denominator for v in packing.y))
-    nums = [v.numerator * (den // v.denominator) for v in packing.y]
+    nums, den = integer_form(packing.y)
     excess = sum(nums) - k * den
     reduced = []
     for t in nums:

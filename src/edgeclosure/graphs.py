@@ -169,7 +169,7 @@ def forbidden_pattern_scan(g: WeightedGraph) -> PatternWitness | None:
 def _witness_exponents(kind: PatternKind, weights: Sequence[int]) -> ExponentVector:
     """The exponents of `pattern_witness` on the pattern graph's vertices."""
     ws = tuple(weights)
-    expected = {PatternKind.HEAVY_P3: 2, PatternKind.HEAVY_2K2: 2, PatternKind.HEAVY_TRIANGLE: 3}[kind]
+    expected = 3 if kind is PatternKind.HEAVY_TRIANGLE else 2
     if len(ws) != expected:
         raise ValueError(f"{kind.value} needs {expected} weights, got {len(ws)}")
     if any(w < HEAVY for w in ws):

@@ -16,9 +16,11 @@ certificate and keep it, so the calls one query makes on the same
 bound solve its program once.  The LP memo answers a positive
 multiple (p/q)*a0 of its bound a0 with p/q times its answer: Bland's
 rule pivots alike on a positively scaled right-hand side, so that is
-the vertex a new solve returns.  The simplex and the branch and bound
-on its root work on integer numerators over a common denominator;
-`Fraction`s are built only with a certificate.  The vertices of the
+the vertex a new solve returns.  A query is checked once, by
+`check_query` at its public call; the memo, the verification of a new
+answer, the branch and bound and the simplex trust that check.  They
+work on integer numerators over a common denominator (`integer_form`)
+and build `Fraction`s only with a certificate.  The vertices of the
 dual program, enumerated once per ideal, let bulk scans test closure
 membership with integer dot products alone.
 """
@@ -81,7 +83,7 @@ def _memoized(
     if cached is not None and cached[0] == a:
         return cached[1]
     cert = solve(ideal, a, *args)
-    if not verify_certificate(ideal, a, cert):
+    if not _certificate_holds(ideal, a, cert):
         raise AssertionError(f"the {key.upper()} oracle produced an invalid certificate")
     ideal._cache[key] = (a, cert)
     return cert
@@ -118,6 +120,12 @@ def _solve_lp(ideal: MonomialIdeal, a: ExponentVector) -> MembershipCertificate:
     return MembershipCertificate(y=y, value=value, integral=all(v.denominator == 1 for v in y))
 
 
+def integer_form(y: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
+    """A packing y as (nums, den): integer numerators over the lcm of its denominators."""
+    den = math.lcm(*(v.denominator for v in y))
+    return tuple(v.numerator * (den // v.denominator) for v in y), den
+
+
 def verify_certificate(
     ideal: MonomialIdeal, bound: Sequence[int], cert: MembershipCertificate
 ) -> bool:
@@ -128,19 +136,22 @@ def verify_certificate(
     become integer comparisons.  A value or component that is not an
     int or a Fraction (a float, say) is not exact, so it fails.
     """
-    a = check_query(ideal, bound)
+    return _certificate_holds(ideal, check_query(ideal, bound), cert)
+
+
+def _certificate_holds(
+    ideal: MonomialIdeal, a: ExponentVector, cert: MembershipCertificate
+) -> bool:
+    """`verify_certificate` for a bound already checked by `check_query`."""
     exact = (int, Fraction)
     if len(cert.y) != ideal.num_generators or not (
         isinstance(cert.value, exact) and all(isinstance(v, exact) for v in cert.y)
     ):
         return False
-    den = math.lcm(*(v.denominator for v in cert.y))
-    nums = [v.numerator * (den // v.denominator) for v in cert.y]
-    if any(t < 0 for t in nums):
+    nums, den = integer_form(cert.y)
+    if any(t < 0 for t in nums) or (cert.integral and den != 1):
         return False
     if sum(nums) * cert.value.denominator != cert.value.numerator * den:
-        return False
-    if cert.integral and den != 1:
         return False
     return all(sum(map(mul, row, nums)) <= b * den for row, b in zip(ideal.exponent_matrix(), a))
 
@@ -197,17 +208,15 @@ def _branch_and_bound(
     ideal: MonomialIdeal, a: ExponentVector, deadline: float | None
 ) -> MembershipCertificate:
     rows = ideal.exponent_matrix()
-    m = ideal.num_generators
     root = checked_lp(ideal, a)
-    den = math.lcm(*(v.denominator for v in root.y))
-    y = tuple(v.numerator * (den // v.denominator) for v in root.y)
+    y, den = integer_form(root.y)
     best = [t // den for t in y]
     best_val = sum(best)
     # Entries (-bound, insertion count, value, lower, upper, y, den) for
     # the LP optimum value / den at y / den: the count breaks ties of the
     # exact bound first in, first out.
     counter = 0
-    heap = [(-root.value, counter, sum(y), (0,) * m, (None,) * m, y, den)]
+    heap = [(-root.value, counter, sum(y), (0,) * len(y), (None,) * len(y), y, den)]
     nodes = 0
     while heap:
         check_deadline(deadline)

@@ -3,12 +3,15 @@
 Both solvers compute in Python integers only.  The simplex solves the
 one program this package asks: the packing LP max 1.x subject to
 A x <= b, x >= 0 with integer data and b >= 0, whose all-slack basis
-is feasible, so no phase-1 step is needed.  It keeps one integer
-tableau over a common denominator, the last pivot, and divides every
-update exactly by the previous one (Bareiss 1968; Edmonds 1967), so
-the optimum is read off the tableau as integer numerators over that
-denominator, and no `Fraction` is built here at all.  Bland's rule
-guarantees termination and makes every solve deterministic.
+is feasible, so no phase-1 step is needed.  Its two callers,
+`packing._solve_lp` and `packing._solve_box_lp`, build only such
+programs from a query checked where it entered, so it checks nothing.
+It keeps one integer tableau over a common denominator, the last
+pivot, and divides every update exactly by the previous one (Bareiss
+1968; Edmonds 1967), so the optimum is read off the tableau as integer
+numerators over that denominator, and no `Fraction` is built here at
+all.  Bland's rule guarantees termination and makes every solve
+deterministic.
 """
 from __future__ import annotations
 
@@ -19,44 +22,29 @@ class UnboundedProgramError(Exception):
     """The linear program has unbounded objective value."""
 
 
-def _require_ints(values: Sequence[int], what: str) -> None:
-    for v in values:
-        if not isinstance(v, int) or isinstance(v, bool):
-            raise ValueError(f"{what} entries must be int, got {v!r}")
-
-
 def simplex_maximize(
     rows: Sequence[Sequence[int]], rhs: Sequence[int]
 ) -> tuple[int, tuple[int, ...], int]:
     """Solve max 1.x s.t. rows.x <= rhs, x >= 0 exactly.
 
-    The number of variables is the row length; there must be at least
-    one row.  Every entry must be an int (not a bool, float or
-    Fraction), else ValueError; rhs >= 0 componentwise (callers arrange
-    this).  Returns (value, x, den): the optimal value value / den and
-    one optimal vertex x / den, over the tableau's common denominator
-    den > 0, not reduced.  The pivot choice is Bland's rule: smallest eligible column,
-    then smallest basic variable on ratio ties.
+    The number of variables is the row length.  Unchecked precondition,
+    met by both callers: at least one row, rows of one length, int
+    entries, rhs >= 0.  `packing._solve_lp` passes a proper ideal's
+    `exponent_matrix()` and a checked bound; `packing._solve_box_lp`
+    adds 0/1 unit rows and returns None before a negative shifted rhs.
+    Returns (value, x, den): the optimal value value / den and one
+    optimal vertex x / den, over the tableau's common denominator
+    den > 0, not reduced.  The pivot choice is Bland's rule: smallest
+    eligible column, then smallest basic variable on ratio ties.  An
+    unbounded objective raises UnboundedProgramError.
 
     The tableau holds integers T with a common denominator D > 0: the
     true tableau is T / D.  D starts at 1 and becomes the pivot after
     each pivot; pivots are positive, so every sign test on T reads as
     it would on T / D.
     """
-    if not rows:
-        raise ValueError("at least one constraint row is required")
     m = len(rows[0])
     n = len(rows)
-    for r in rows:
-        if len(r) != m:
-            raise ValueError("constraint rows differ in length")
-        _require_ints(r, "constraint")
-    if len(rhs) != n:
-        raise ValueError("rhs length does not match row count")
-    _require_ints(rhs, "rhs")
-    if any(b < 0 for b in rhs):
-        raise ValueError("rhs must be componentwise non-negative")
-
     # Tableau columns: m structural vars, n slacks, rhs.  Row n is the
     # cost row, all ones on the structural columns, pivoted like the
     # constraint rows.

@@ -467,7 +467,7 @@ class TestErrorsAndCaps:
 
     def test_failed_self_check_exits_four(self, capsys, monkeypatch):
         monkeypatch.setattr(
-            "edgeclosure.packing.verify_certificate", lambda *args: False
+            "edgeclosure.packing._certificate_holds", lambda *args: False
         )
         assert main(["witness", "--pattern", "p3", "--weights", "2,2"]) == 4
         err = capsys.readouterr().err

@@ -190,8 +190,11 @@ class TestPatternWitness:
                 pattern_witness(kind, ws)
 
     def test_wrong_arity_rejected(self):
-        with pytest.raises(ValueError):
-            pattern_witness(PatternKind.HEAVY_P3, (2, 2, 2))
+        for kind in PatternKind:
+            arity = 3 if kind is PatternKind.HEAVY_TRIANGLE else 2
+            for count in (0, arity - 1, arity + 1):
+                with pytest.raises(ValueError, match=f"needs {arity} weights, got {count}"):
+                    pattern_witness(kind, (2,) * count)
 
     @pytest.mark.parametrize("kind", list(PatternKind))
     def test_witness_validity_sample(self, kind):

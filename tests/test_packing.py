@@ -129,10 +129,10 @@ class TestInteger:
             integer_packing(PAIR, (3, 6, 3))
 
     def test_invalid_certificate_fails_the_self_check(self, monkeypatch):
-        verify = edgeclosure.packing.verify_certificate
+        verify = edgeclosure.packing._certificate_holds
         monkeypatch.setattr(
             edgeclosure.packing,
-            "verify_certificate",
+            "_certificate_holds",
             lambda ideal, bound, cert: not cert.integral and verify(ideal, bound, cert),
         )
         assert not fractional_packing(PAIR, (3, 6, 3)).integral
@@ -365,7 +365,7 @@ class TestMemo:
         ideal = MonomialIdeal(3, [(2, 2, 0), (0, 2, 2)])
         fractional_packing(ideal, (1, 4, 1))
         monkeypatch.setattr(
-            edgeclosure.packing, "verify_certificate", lambda ideal, bound, cert: False
+            edgeclosure.packing, "_certificate_holds", lambda ideal, bound, cert: False
         )
         with pytest.raises(AssertionError, match="LP oracle"):
             fractional_packing(ideal, (2, 8, 2))
@@ -410,3 +410,22 @@ def test_oracle_bytes_are_pinned():
     # sha256 of json.dumps(rows), as the Fraction-tableau oracles gave it
     digest = hashlib.sha256(json.dumps(pinned_oracle_rows()).encode()).hexdigest()
     assert digest == "eed23c9795a46476e041039b84a3a4b2397899c9be1919492248e30b36647299"
+
+
+class TestQueryChecks:
+    """A query is checked once, where it enters the package."""
+
+    @pytest.mark.parametrize(
+        "oracle", [integer_packing, fractional_packing], ids=["integer", "fractional"]
+    )
+    def test_query_is_validated_once(self, monkeypatch, oracle):
+        validated = []
+        check = edgeclosure.packing.as_exponent_vector
+
+        def counting(*args):
+            validated.append(args)
+            return check(*args)
+
+        monkeypatch.setattr(edgeclosure.packing, "as_exponent_vector", counting)
+        oracle(MonomialIdeal(3, [(2, 2, 0), (0, 2, 2)]), (3, 6, 3))
+        assert len(validated) == 1

@@ -1,0 +1,12 @@
+"""Every python code block in README.md runs as written."""
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_python_blocks_run():
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.M | re.S)
+    assert blocks
+    for code in blocks:
+        exec(compile(code, README.name, "exec"), {"__name__": "readme"})
