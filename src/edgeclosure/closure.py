@@ -6,21 +6,21 @@ a_j <= k * max_i M[j][i] (they are roundings of points in k times the
 convex hull of the generators).  The engine sweeps that box by columns
 along its longest axis: with the integer-scaled dual functionals of the
 packing LP, each column gets the least height at which it enters the
-set, by one ceiling division per functional.  A column's lowest point
-is minimal iff it lies in the box and sits strictly below the lowest
-points of its neighbouring columns a' - e_j, so the sweep holds a few
-entries per column, not per box point.  Closedness is decided by
-looking the minimal elements up among the sums of k generators, each
-kept as its row-major flat index in the same box: no sum of at most k
-generators leaves the box, so adding indices adds vectors.  The sweep
-computes in the narrowest of int16, int32 and int64 whose limit
-2**(bits-2) exceeds every box length, every functional value in the
-box and every k*s + w_col, and in Python integers (one per column)
-when none does, so it is exact on every input.  numpy is imported by
-the sweep itself, on its first call: the certificates below, the
-packing oracles and the pattern scan never load it.  The wall-clock
-deadline is checked inside the dual enumeration, before each functional
-of the sweep and before each round of the k-sum build.
+set, by one ceiling division per functional.  A column's lowest point is
+minimal iff it lies in the box and sits strictly below the lowest points
+of its neighbouring columns a' - e_j, so the sweep holds a few entries
+per column, not per box point.  Its passes over the columns run on
+contiguous memory (sums from the innermost axis out, one bool mask,
+neighbours at flat offsets), in the narrowest of int16, int32 and int64
+with two bits to spare, or in Python integers when none is wide enough,
+so the sweep is exact on every input.  Closedness is decided by looking
+the minimal elements up among the sums of k generators, each kept as its
+row-major flat index in the same box: no sum of at most k generators
+leaves the box, so adding indices adds vectors.  numpy is imported by
+the sweep itself, on its first call: the certificates below, the packing
+oracles and the pattern scan never load it.  The wall-clock deadline is
+checked inside the dual enumeration, before each functional of the sweep
+and before each round of the k-sum build.
 
 Single queries get a certificate instead: a power identity rescales the
 optimal fractional packing of a to total k and clears its denominators,
@@ -46,11 +46,10 @@ from .ideals import (
 )
 from .packing import (
     check_query,
+    checked_ip,
     checked_lp,
     dual_functionals,
-    fractional_packing,
     integer_form,
-    integer_packing,
     require_proper,
 )
 
@@ -148,17 +147,19 @@ def _sweep(
     """Minimal points of the box where every a.w >= k*s, sorted lex.
 
     The longest axis is the column axis; the grid is spanned by the
-    other axes of length > 1.  Each column gets its height: the least
-    t >= 0 at which every functional holds, which is the maximum over
-    the functionals of ceil((k*s - partial) / w_col), with `partial` the
-    functional on the grid coordinates.  A functional with w_col = 0
-    that fails on the grid puts the column at the top of the box.  The
-    set is an up-set, so the column's lowest point is minimal iff it
-    lies in the box and every grid predecessor a' - e_j has a strictly
-    greater height.  A height at or above the top compares greater than
-    every height in the box, so heights need no clipping.  Memory is a
-    few arrays of one entry per column, not per box point, each entry
-    in the width `_sweep_width` picks.
+    other axes of length > 1.  A column's height, the least t >= 0 where
+    every functional holds, is the maximum of rest // w_col over the
+    functionals, rest = k*s + w_col - 1 - (w on the grid coordinates),
+    summed from the innermost grid axis out so that only its last step
+    spans the grid; each step takes off w_j * a_j >= 0, within the bound
+    of `_sweep_width`.  A functional with w_col = 0 fails where
+    rest >= 0; the mask `outside` puts those columns at the top after
+    the loop.  The set is an up-set, so a column's lowest point is
+    minimal iff it lies in the box and each grid predecessor a' - e_j,
+    one stride of axis j back in the raveled heights (none on the slab
+    a_j = 0), is strictly higher.  Heights above the top need no
+    clipping.  Memory is one height, in the width of `_sweep_width`, and
+    two bools per column, not per box point.
     """
     import numpy as np
 
@@ -166,44 +167,43 @@ def _sweep(
     col = max(range(n), key=shape.__getitem__)
     dtype = _sweep_width(shape, functionals, k, col)
     top = shape[col]
-    # Only the axes of length > 1 get an array axis: a length-1 axis
-    # holds only 0, where w_j * 0 adds nothing.  Each kept axis doubles
-    # the volume at least, so the grid has at most log2(volume) axes.
+    # A length-1 axis holds only 0, where w_j * 0 adds nothing; each kept
+    # axis at least doubles the volume, so there are at most log2(volume).
     axes = [j for j, b in enumerate(shape) if b > 1 and j != col]
-    d = len(axes)
+    grid = tuple(shape[j] for j in axes)
     ramps = [
-        np.arange(shape[j], dtype=dtype).reshape(
-            tuple(shape[j] if t == pos else 1 for t in range(d))
-        )
-        for pos, j in enumerate(axes)
+        np.arange(b, dtype=dtype).reshape(b, *[1] * (len(grid) - 1 - pos))
+        for pos, b in enumerate(grid)
     ]
-    height = np.zeros(tuple(shape[j] for j in axes), dtype=dtype)
-    # top in the heights' width, so that np.where keeps that width
-    top_entry = np.asarray(top, dtype)
+    height = np.zeros(grid, dtype=dtype)
+    outside = np.zeros(grid, dtype=bool)
     for w, s in functionals:
         check_deadline(deadline)
-        # rest = k*s + w_col - 1 - partial.  Broadcasting only over the
-        # axes with w_j != 0 keeps it smaller than the grid when the
-        # functional has zero entries.
+        # only the axes with w_j != 0 broadcast: rest may be smaller than the grid
         rest = k * s + w[col] - 1
-        for j, r in zip(axes, ramps):
+        for j, r in zip(reversed(axes), reversed(ramps)):
             if w[j]:
                 rest = rest - (r if w[j] == 1 else w[j] * r)
         if w[col]:
-            # ceil((k*s - partial) / w_col) as one floor division
-            np.maximum(height, rest // w[col], out=height)
+            if w[col] > 1:  # in place: rest is a new array or an int
+                rest //= w[col]
+            np.maximum(height, rest, out=height)
         else:
-            # partial < k*s, where the functional fails, is rest >= 0
-            np.maximum(height, np.where(rest >= 0, top_entry, 0), out=height)
-    minimal = height < top
-    for pos in range(d):
-        lead = (slice(None),) * pos
-        dst, src = lead + (slice(1, None),), lead + (slice(None, -1),)
-        minimal[dst] &= height[dst] < height[src]
-    rows = np.argwhere(minimal)
+            outside |= rest >= 0
+    height[outside] = top
+    flat = height.ravel()
+    minimal = flat < top
+    less = outside.ravel()
+    steps = [t // height.itemsize for t in height.strides]
+    for b, step in zip(grid, steps):
+        np.less(flat[step:], flat[:-step], out=less[step:])
+        less.reshape(-1, b, step)[:, 0, :] = True
+        minimal &= less
+    rows = np.flatnonzero(minimal)
     points = np.zeros((len(rows), n), np.int64)
-    points[:, axes] = rows
-    points[:, col] = height[minimal]
+    for j, b, step in zip(axes, grid, steps):
+        points[:, j] = rows // step % b
+    points[:, col] = flat[rows]
     return tuple(sorted(map(tuple, points.tolist())))
 
 
@@ -275,7 +275,11 @@ def power_identity_certificate(
     """
     if k < 1:
         raise ValueError(f"power must be >= 1, got {k}")
-    vec = check_query(ideal, a)
+    return _power_identity(ideal, check_query(ideal, a), k)
+
+
+def _power_identity(ideal: MonomialIdeal, vec: ExponentVector, k: int) -> PowerIdentityCertificate:
+    """`power_identity_certificate` for a query already checked by `check_query`."""
     packing = checked_lp(ideal, vec)
     if packing.value < k:
         raise ValueError(
@@ -341,11 +345,11 @@ def scaling_membership(
     """
     if k < 1:
         raise ValueError(f"power must be >= 1, got {k}")
-    vec = as_exponent_vector(a, ideal.n)
+    vec = check_query(ideal, a)
     if s_max is None:
         s_max = 1
-        if fractional_packing(ideal, vec).value >= k:
-            s_max = power_identity_certificate(ideal, vec, k).scale
+        if checked_lp(ideal, vec).value >= k:
+            s_max = _power_identity(ideal, vec, k).scale
         if s_max > 64:
             raise ResourceCapError(
                 f"default scaling bound {s_max} exceeds the cap of 64"
@@ -354,6 +358,6 @@ def scaling_membership(
         raise ValueError(f"s_max must be >= 1, got {s_max}")
     for s in range(1, s_max + 1):
         scaled = tuple(checked_mul(s, v) for v in vec)
-        if integer_packing(ideal, scaled, deadline=deadline).value >= s * k:
+        if checked_ip(ideal, scaled, deadline).value >= s * k:
             return ScalingResult(member=True, s=s)
     return ScalingResult(member=False, s=s_max)

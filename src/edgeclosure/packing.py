@@ -199,7 +199,13 @@ def integer_packing(
     last IP answer: a repeated call with the same bound checks the
     deadline, then returns it without branching again.
     """
-    a = check_query(ideal, bound)
+    return checked_ip(ideal, check_query(ideal, bound), deadline)
+
+
+def checked_ip(
+    ideal: MonomialIdeal, a: ExponentVector, deadline: float | None
+) -> MembershipCertificate:
+    """`integer_packing` for a bound already checked by `check_query`."""
     check_deadline(deadline)
     return _memoized(ideal, "ip", a, _branch_and_bound, deadline)
 

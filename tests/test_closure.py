@@ -121,15 +121,52 @@ class TestClosureGenerators:
             ((1, 5, 1), [((0, 0, 1), 1)], 1),
             # Python integers, with zero weight on the column axis 1
             ((3, 4), [((2**62, 0), 2**62), ((1, 1), 3)], 1),
+            # w_col = 0 weighted only on the first grid axis, then only on
+            # the last: `rest` is smaller than the grid
+            ((4, 6, 5), [((1, 0, 0), 2), ((1, 1, 1), 4)], 1),
+            ((4, 6, 5), [((0, 0, 1), 2), ((1, 1, 1), 4)], 1),
+            # w_col = 0 on a length-1 axis only: `rest` is a Python int,
+            # failing everywhere (s = 1) or nowhere (s = 0)
+            ((1, 5, 4), [((1, 0, 0), 1), ((0, 1, 1), 2)], 1),
+            ((1, 5, 4), [((1, 0, 0), 0), ((0, 1, 1), 2)], 1),
+            # w_col > 0 with one grid axis weighted: the first, the last,
+            # the middle; the column axis 2 is neither first nor last
+            ((3, 4, 9, 5), [((1, 0, 1, 0), 2), ((0, 0, 1, 2), 3)], 2),
+            ((3, 4, 9, 5), [((0, 1, 2, 0), 3), ((1, 0, 1, 1), 3)], 2),
+            # w_col = 0 on single grid axes of a 3-axis grid
+            ((3, 4, 9, 5), [((2, 0, 0, 0), 3), ((0, 0, 1, 1), 3)], 1),
+            ((3, 4, 9, 5), [((0, 1, 0, 0), 1), ((0, 0, 0, 1), 2), ((1, 1, 1, 1), 5)], 1),
+            # no grid axis (d = 0), then one grid axis (d = 1)
+            ((7,), [((2,), 5)], 2),
+            ((3, 8), [((1, 2), 3), ((0, 1), 1), ((2, 0), 1)], 1),
+            ((8, 3), [((2, 1), 3), ((1, 0), 1), ((0, 2), 1)], 2),
+            # Python integers, with w_col = 0 on a grid axis, and with a
+            # grid predecessor to compare on both grid axes
+            ((3, 5, 4), [((2**62, 0, 2**62), 2**62), ((1, 1, 1), 3)], 1),
+            ((3, 5, 4), [((2**62, 1, 0), 2**62), ((0, 2, 2**62), 2**62)], 1),
         ]
         for shape, fs, k in cases:
             assert _sweep(shape, fs, k, None) == sweep_point_by_point(
                 shape, fs, k, None
             ), (shape, fs, k)
-        assert _sweep((3, 4), cases[-1][1], 1, None) == ((1, 2), (2, 1))
+        assert _sweep((3, 4), cases[4][1], 1, None) == ((1, 2), (2, 1))
         assert _sweep((7, 3, 3), cases[1][1], 2, None) == (
             (2, 2, 0), (3, 0, 2), (3, 1, 1), (4, 0, 1), (4, 1, 0), (6, 0, 0)
         )
+
+    def test_sweep_agrees_on_four_grid_axes(self, rng):
+        # every variable used, so every box axis is longer than 1
+        for _ in range(60):
+            gens = {tuple(rng.randint(0, 2) for _ in range(5)) for _ in range(rng.randint(2, 4))}
+            ideal = minimalize(gens - {(0,) * 5}, n=5)
+            if ideal.is_zero or not all(map(any, zip(*ideal.generators))):
+                continue
+            k = rng.randint(1, 2)
+            shape = tuple(b + 1 for b in power_box(ideal, k))
+            fs = dual_functionals(ideal)
+            assert _sweep(shape, fs, k, None) == sweep_point_by_point(
+                shape, fs, k, None
+            ), (ideal.generators, k)
 
     def test_sweep_agrees_with_point_by_point(self, rng):
         for _ in range(200):
@@ -164,6 +201,21 @@ class TestClosureGenerators:
         tracemalloc.start()
         try:
             closure_generators(ideal, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * columns, (peak, columns)
+
+    def test_sweep_bytes_per_column_at_the_showcase_top_power(self):
+        # the README C6 showcase at k = 5, its largest probed power
+        ideal = edge_ideal(cycle_graph((2, 1, 3, 1, 4, 1)))
+        shape = [b + 1 for b in power_box(ideal, 5)]
+        columns = math.prod(shape) // max(shape)
+        assert columns == 650_496
+        closure_generators(ideal, 1)  # loads numpy, caches the duals
+        tracemalloc.start()
+        try:
+            closure_generators(ideal, 5, box_cap=math.prod(shape))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

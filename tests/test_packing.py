@@ -416,7 +416,14 @@ class TestQueryChecks:
     """A query is checked once, where it enters the package."""
 
     @pytest.mark.parametrize(
-        "oracle", [integer_packing, fractional_packing], ids=["integer", "fractional"]
+        "oracle",
+        [
+            integer_packing,
+            fractional_packing,
+            lambda ideal, a: scaling_membership(ideal, a, 1),
+            lambda ideal, a: scaling_membership(ideal, a, 1, s_max=3),
+        ],
+        ids=["integer", "fractional", "scaling", "scaling-given-bound"],
     )
     def test_query_is_validated_once(self, monkeypatch, oracle):
         validated = []
@@ -427,5 +434,7 @@ class TestQueryChecks:
             return check(*args)
 
         monkeypatch.setattr(edgeclosure.packing, "as_exponent_vector", counting)
-        oracle(MonomialIdeal(3, [(2, 2, 0), (0, 2, 2)]), (3, 6, 3))
+        monkeypatch.setattr(edgeclosure.closure, "as_exponent_vector", counting)
+        # x^(1,2,1) lies in the closure of I, not in I; its square lies in I^2
+        oracle(MonomialIdeal(3, [(2, 2, 0), (0, 2, 2)]), (1, 2, 1))
         assert len(validated) == 1
