@@ -42,7 +42,6 @@ from .graphs import (
     edge_ideal,
     forbidden_pattern_scan,
     graph_from_jsonable,
-    graph_to_jsonable,
     pattern_witness,
     to_jsonable,
 )
@@ -95,8 +94,10 @@ def _deadline() -> float:
 def _emit_json(payload) -> None:
     # Streamed in blocks of encoder chunks, so a large payload (a cover
     # at the edge cap) is never held as one string; joining a block
-    # first saves a write call per chunk.
-    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(to_jsonable(payload))
+    # first saves a write call per chunk.  Package values are converted
+    # as the encoder meets them, so a payload that is already plain JSON
+    # (a verify run) is not walked twice.
+    chunks = json.JSONEncoder(indent=2, sort_keys=True, default=to_jsonable).iterencode(payload)
     while block := "".join(islice(chunks, 1 << 14)):
         sys.stdout.write(block)
     sys.stdout.write("\n")
@@ -192,8 +193,6 @@ def _cmd_witness(args) -> int:
     ideal = edge_ideal(graph)
     in_ideal = member(ideal, w)
     lp = fractional_packing(ideal, w)
-    # The certificate comes before scaling, whose s = 2 step replaces the
-    # ideal's LP entry for w: this order solves the LP of w once.
     cert = power_identity_certificate(ideal, w, 1)
     scaling = scaling_membership(ideal, w, 1, deadline=_deadline())
     cert_ok = verify_power_identity(ideal, w, 1, cert)
@@ -215,7 +214,7 @@ def _cmd_witness(args) -> int:
             }
         )
     else:
-        print(f"pattern graph: {json.dumps(graph_to_jsonable(graph))}")
+        print(f"pattern graph: {json.dumps(to_jsonable(graph))}")
         print(f"witness exponent vector: {w}")
         print(f"member of edge ideal: {in_ideal}")
         print(f"fractional packing value: {lp.value}")

@@ -230,13 +230,6 @@ def lifted_witness(witness: PatternWitness, n: int) -> ExponentVector:
     return tuple(lifted)
 
 
-def graph_to_jsonable(g: WeightedGraph) -> dict:
-    return {
-        "n": g.n,
-        "edges": [{"u": u, "v": v, "w": w} for u, v, w in g.edges],
-    }
-
-
 def to_jsonable(obj):
     """Recursively convert package values to JSON-safe structures."""
     if isinstance(obj, Fraction):
@@ -244,7 +237,7 @@ def to_jsonable(obj):
     if isinstance(obj, PatternKind):
         return obj.value
     if isinstance(obj, WeightedGraph):
-        return graph_to_jsonable(obj)
+        return {"n": obj.n, "edges": [{"u": u, "v": v, "w": w} for u, v, w in obj.edges]}
     if is_dataclass(obj) and not isinstance(obj, type):
         return {k: to_jsonable(v) for k, v in asdict(obj).items()}
     if isinstance(obj, dict):

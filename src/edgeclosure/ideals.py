@@ -58,11 +58,8 @@ class MonomialIdeal:
     <= (an antichain), sorted lexicographically.  An empty generator set
     is the zero ideal; the single zero vector is the unit ideal.
 
-    `_cache` holds what is derived from the generators: the exponent
-    matrix under "exponent_matrix", the dual functionals under
-    "dual_functionals", and the last fractional and integer packing
-    answers under "lp" and "ip", each a single (bound, certificate)
-    pair.  It takes no part in equality.
+    `_cache` holds values derived from the generators, such as the
+    exponent matrix; it takes no part in equality.
     """
 
     __slots__ = ("n", "generators", "_cache")

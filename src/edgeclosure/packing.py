@@ -21,8 +21,9 @@ the vertex a new solve returns.  A query is checked once, by
 answer, the branch and bound and the simplex trust that check.  They
 work on integer numerators over a common denominator (`integer_form`)
 and build `Fraction`s only with a certificate.  The vertices of the
-dual program, enumerated once per ideal, let bulk scans test closure
-membership with integer dot products alone.
+dual program, enumerated once per ideal and kept under
+`_cache["dual_functionals"]`, let bulk scans test closure membership
+with integer dot products alone.
 """
 from __future__ import annotations
 

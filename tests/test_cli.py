@@ -127,6 +127,10 @@ class TestWitness:
     def test_trivial_weight_rejected(self, capsys):
         assert main(["witness", "--pattern", "p3", "--weights", "1,2"]) == 2
 
+    def test_weight_that_is_not_an_integer_rejected(self, capsys):
+        assert main(["witness", "--pattern", "p3", "--weights", "2,x"]) == 2
+        assert capsys.readouterr().err == "input error: invalid weights '2,x'\n"
+
     def test_triangle_makes_two_solves(self, capsys, solve_keys):
         # The LP of w serves the transcript, the power identity, scaling's
         # default bound and the IP root at s = 1; then comes one
@@ -197,6 +201,29 @@ class TestCover:
         err = capsys.readouterr().err
         assert err.startswith("input error:")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "instance, message",
+        [
+            ({"y": [1, 1]}, "cover instance needs fields 'a' and 'y'"),
+            ({"a": [1, 2, 1]}, "cover instance needs fields 'a' and 'y'"),
+            ({"a": "121", "y": [1, 1]}, "'a' must be a list of integers"),
+            (
+                {"a": [1, 2, 1], "y": [1, 1.5]},
+                "edge values must be integers or 'p/q' strings, got 1.5",
+            ),
+            (
+                {"a": [1, 2, 1], "y": [True, 1]},
+                "edge values must be integers or 'p/q' strings, got True",
+            ),
+        ],
+        ids=["no-a", "no-y", "a-not-a-list", "float-y", "bool-y"],
+    )
+    def test_malformed_instance_names_the_fault(self, tmp_path, capsys, instance, message):
+        inst = tmp_path / "inst.json"
+        inst.write_text(json.dumps(instance))
+        assert main(["cover", str(inst)]) == 2
+        assert capsys.readouterr().err == f"input error: {message}\n"
 
     def test_cover_over_size_cap_exits_three(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(edgeclosure.covers, "MAX_COVER_EDGES", 5)
@@ -312,6 +339,20 @@ class TestErrorsAndCaps:
         )
         assert main(["scan", str(bad)]) == 2
         assert "edges[1]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["check", "--kmax", "2"], "the zero ideal has no powers to probe"),
+            (["closure", "-k", "2"], "the zero ideal has no closure generators"),
+        ],
+        ids=["check", "closure"],
+    )
+    def test_edgeless_graph_is_input_error(self, tmp_path, capsys, argv, message):
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps({"n": 3, "edges": []}))
+        assert main([argv[0], str(path), *argv[1:]]) == 2
+        assert capsys.readouterr().err == f"input error: graph has no edges: {message}\n"
 
     def test_missing_file_exits_two(self, capsys):
         assert main(["scan", "/nonexistent/graph.json"]) == 2

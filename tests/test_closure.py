@@ -43,6 +43,20 @@ TRIANGLE = MonomialIdeal(3, [(2, 2, 0), (0, 2, 2), (2, 0, 2)])
 UNITS = ((0, 1), (1, 0))  # the generators x2, x1
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda k: closure_generators(PAIR, k),
+        lambda k: power_identity_certificate(PAIR, (1, 4, 1), k),
+        lambda k: scaling_membership(PAIR, (1, 4, 1), k),
+    ],
+    ids=["closure_generators", "power_identity_certificate", "scaling_membership"],
+)
+def test_power_zero_rejected(call):
+    with pytest.raises(ValueError, match=r"^power must be >= 1, got 0$"):
+        call(0)
+
+
 def sweep_width_cases():
     """(shape, functionals, k, width): each bound of `_sweep_width` just
     below and just at the limit of int16, int32 and int64."""

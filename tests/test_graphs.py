@@ -14,7 +14,6 @@ from edgeclosure.graphs import (
     edge_ideal,
     forbidden_pattern_scan,
     graph_from_jsonable,
-    graph_to_jsonable,
     lifted_witness,
     path_graph,
     pattern_witness,
@@ -251,6 +250,10 @@ class TestGraphValidation:
         with pytest.raises(ValueError):
             WeightedGraph(3, ((1, 2, 0),))
 
+    def test_cycle_needs_three_vertices(self):
+        with pytest.raises(ValueError, match="a cycle needs at least 3 vertices"):
+            cycle_graph((2, 3))
+
     def test_edges_sorted_deterministically(self):
         g = WeightedGraph(3, ((2, 3, 1), (1, 2, 2)))
         assert g.edges == ((1, 2, 2), (2, 3, 1))
@@ -293,7 +296,7 @@ class TestGraphValidation:
 class TestJson:
     def test_round_trip(self):
         g = cycle_graph((2, 1, 3, 1, 4, 1))
-        data = json.loads(json.dumps(graph_to_jsonable(g)))
+        data = json.loads(json.dumps(to_jsonable(g)))
         assert graph_from_jsonable(data) == g
 
     def test_reversed_edge_rejected_with_position(self):
@@ -320,6 +323,18 @@ class TestJson:
     def test_out_of_range_rejected(self):
         with pytest.raises(GraphFormatError, match=r"edges\[0\]"):
             graph_from_jsonable({"n": 2, "edges": [{"u": 1, "v": 5, "w": 1}]})
+
+    @pytest.mark.parametrize(
+        "edges, match",
+        [
+            ({"u": 1, "v": 2, "w": 1}, r"^'edges' must be a list$"),
+            ([[1, 2, 1]], r"^edges\[0\]: must be an object$"),
+        ],
+        ids=["edges-not-a-list", "edge-not-an-object"],
+    )
+    def test_edges_shape_rejected(self, edges, match):
+        with pytest.raises(GraphFormatError, match=match):
+            graph_from_jsonable({"n": 2, "edges": edges})
 
     def test_bad_top_level(self):
         with pytest.raises(GraphFormatError):

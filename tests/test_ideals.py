@@ -232,6 +232,14 @@ class TestValidation:
         with pytest.raises(ValueError, match="not an antichain"):
             MonomialIdeal(2, [(0, 0), (1, 0)])
 
+    def test_negative_variable_count_rejected(self):
+        with pytest.raises(ValueError, match="ambient variable count must be >= 0"):
+            MonomialIdeal(-1, ())
+
+    def test_duplicate_generators_rejected(self):
+        with pytest.raises(ValueError, match="duplicate generators"):
+            MonomialIdeal(2, [(1, 2), (2, 1), (1, 2)])
+
     def test_negative_entry_rejected(self):
         with pytest.raises(ValueError):
             as_exponent_vector((1, -1))

@@ -3,7 +3,8 @@
 The certificates, the packing oracles, the covers, the pattern scan and
 the CLI commands that use only those (scan, witness, cover) run without
 numpy; the check runs in a fresh interpreter, since this one has
-already imported it.
+already imported it.  That interpreter also checks that `import
+edgeclosure` leaves the verify harness unloaded.
 """
 import json
 import os
@@ -21,6 +22,7 @@ from edgeclosure import (
     forbidden_pattern_scan, fractional_packing, integer_packing, path_graph,
     power_identity_certificate, scaling_membership,
 )
+assert "edgeclosure.verify" not in sys.modules, "import edgeclosure loaded verify"
 from edgeclosure.cli import main
 
 graph_file, cover_file = sys.argv[1:]

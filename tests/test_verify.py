@@ -63,6 +63,10 @@ class TestUniverses:
         assert len(list(family_graphs("path", 4, 2))) == 2 + 4 + 8
         assert len(list(family_graphs("cycle", 5, 2))) == 8 + 16 + 32
 
+    def test_unknown_family_rejected(self):
+        with pytest.raises(ValueError, match="unknown family 'wheel'"):
+            list(family_graphs("wheel", 4, 2))
+
 
 class TestEquivalence:
     def test_small_universe_has_no_violations(self):
@@ -95,6 +99,10 @@ class TestEquivalence:
             "seed": 5,
         }
         assert run.graph_count == 25
+
+    def test_sample_without_seed_rejected(self):
+        with pytest.raises(ValueError, match="sampled universes require a seed"):
+            run_equivalence_check(4, 2, sample=5)
 
     def test_json_output_is_deterministic(self):
         first = run_equivalence_check(3, 2, sample=30, seed=9)
