@@ -25,7 +25,8 @@ and before each round of the k-sum build.
 Single queries get a certificate instead: a power identity rescales the
 optimal fractional packing of a to total k and clears its denominators,
 so (x^a)^s lies in I^(s*k) with s its scale, and the scaling search
-tests s = 1, 2, ... with the integer oracle.
+tests s = 1, 2, ... with the integer oracle, once the LP bound has
+refuted every query whose fractional value is below k.
 """
 from __future__ import annotations
 
@@ -87,11 +88,24 @@ class ScalingResult:
     """Result of the power-scaling membership search.
 
     When `member` is true, `s` is the least exponent with
-    (x^a)^s in I^(s*k); otherwise `s` is the largest exponent tried.
+    (x^a)^s in I^(s*k); otherwise `s` is s_max, the largest exponent
+    the search covers.
     """
 
     member: bool
     s: int
+
+
+def _require_count(value: int, name: str, label: str) -> None:
+    """Refuse a power or bound that is not an int >= 1, before any solve.
+
+    Only an exact int passes: bool, float and Fraction are refused, as
+    `as_exponent_vector` refuses them as exponent entries.
+    """
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{name} must be an int, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{label} must be >= 1, got {value}")
 
 
 def closure_generators(
@@ -102,8 +116,7 @@ def closure_generators(
     deadline: float | None = None,
 ) -> tuple[ExponentVector, ...]:
     """Minimal generators of the integral closure of I^k, sorted lex."""
-    if k < 1:
-        raise ValueError(f"power must be >= 1, got {k}")
+    _require_count(k, "k", "power")
     require_proper(ideal)
     shape = tuple(b + 1 for b in power_box(ideal, k))
     volume = math.prod(shape)
@@ -245,8 +258,7 @@ def is_normal_up_to(
     deadline: float | None = None,
 ) -> list[ClosureReport]:
     """Probe closedness of I^k for k = 1..kmax, stopping at a failure."""
-    if kmax < 1:
-        raise ValueError(f"kmax must be >= 1, got {kmax}")
+    _require_count(kmax, "kmax", "kmax")
     reports = []
     for k in range(1, kmax + 1):
         report = is_integrally_closed(
@@ -273,8 +285,7 @@ def power_identity_certificate(
     s*a = slack + sum of s*y_i copies of each generator, computed in
     integers over the lcm of the packing's denominators.
     """
-    if k < 1:
-        raise ValueError(f"power must be >= 1, got {k}")
+    _require_count(k, "k", "power")
     return _power_identity(ideal, check_query(ideal, a), k)
 
 
@@ -337,25 +348,32 @@ def scaling_membership(
     """Search the least s with (x^a)^s in I^(s*k), testing s = 1..s_max.
 
     Each test asks the integer oracle whether s*a packs to value s*k.
-    When s_max is omitted it defaults to the scale of the power identity
-    for (a, k) (which guarantees a hit whenever the closure membership
-    holds), errors beyond 64, and falls back to 1 when the fractional
-    value is already below k.  `deadline` is passed to every integer
-    oracle call.
+    The fractional value of a is read first: when it is below k, LP
+    duality answers every s at once, since the integer value of s*a is
+    at most its fractional value s*LP(a) < s*k, so the search returns
+    (False, s_max) without an integer program.  That LP is the memo's
+    answer when the caller asked for it, and the one branch and bound
+    would take as its root otherwise.  When s_max is omitted it
+    defaults to the scale of the power identity for (a, k) (which
+    guarantees a hit whenever the closure membership holds), errors
+    beyond 64, and falls back to 1 when the fractional value is already
+    below k.  `deadline` is checked on that early answer too, and passed
+    to every integer oracle call.
     """
-    if k < 1:
-        raise ValueError(f"power must be >= 1, got {k}")
+    _require_count(k, "k", "power")
     vec = check_query(ideal, a)
+    if s_max is not None:
+        _require_count(s_max, "s_max", "s_max")
+    value = checked_lp(ideal, vec).value
     if s_max is None:
-        s_max = 1
-        if checked_lp(ideal, vec).value >= k:
-            s_max = _power_identity(ideal, vec, k).scale
+        s_max = _power_identity(ideal, vec, k).scale if value >= k else 1
         if s_max > 64:
             raise ResourceCapError(
                 f"default scaling bound {s_max} exceeds the cap of 64"
             )
-    if s_max < 1:
-        raise ValueError(f"s_max must be >= 1, got {s_max}")
+    if value < k:
+        check_deadline(deadline)
+        return ScalingResult(member=False, s=s_max)
     for s in range(1, s_max + 1):
         scaled = tuple(checked_mul(s, v) for v in vec)
         if checked_ip(ideal, scaled, deadline).value >= s * k:

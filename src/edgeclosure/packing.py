@@ -13,17 +13,19 @@ Both answer through one memo step, `_memoized`: look the bound up in
 the ideal's last answer (`_cache["lp"]` or `_cache["ip"]`, one
 `(bound, certificate)` entry apiece), else solve, verify the
 certificate and keep it, so the calls one query makes on the same
-bound solve its program once.  The LP memo answers a positive
-multiple (p/q)*a0 of its bound a0 with p/q times its answer: Bland's
-rule pivots alike on a positively scaled right-hand side, so that is
-the vertex a new solve returns.  A query is checked once, by
-`check_query` at its public call; the memo, the verification of a new
-answer, the branch and bound and the simplex trust that check.  They
-work on integer numerators over a common denominator (`integer_form`)
-and build `Fraction`s only with a certificate.  The vertices of the
-dual program, enumerated once per ideal and kept under
-`_cache["dual_functionals"]`, let bulk scans test closure membership
-with integer dot products alone.
+bound solve its program once.  Scaling membership reads the LP bound
+before any integer program: a fractional value below k refutes every
+scale s at once, so that answer costs one LP or a memo hit.  The LP
+memo answers a positive multiple (p/q)*a0 of its bound a0 with p/q
+times its answer: Bland's rule pivots alike on a positively scaled
+right-hand side, so that is the vertex a new solve returns.  A query
+is checked once, by `check_query` at its public call; the memo, the
+verification of a new answer, the branch and bound and the simplex
+trust that check.  They work on integer numerators over a common
+denominator (`integer_form`) and build `Fraction`s only with a
+certificate.  The vertices of the dual program, enumerated once per
+ideal and kept under `_cache["dual_functionals"]`, let bulk scans test
+closure membership with integer dot products alone.
 """
 from __future__ import annotations
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 import time
 import tracemalloc
 from fractions import Fraction
@@ -36,7 +37,13 @@ from edgeclosure.packing import (
 )
 
 from conftest import random_proper_ideal
-from oracles import closure_generators_bruteforce, induced_subgraph, sweep_point_by_point
+from oracles import (
+    closure_generators_bruteforce,
+    fractional_value_by_duality,
+    induced_subgraph,
+    integer_packing_enumerated,
+    sweep_point_by_point,
+)
 
 PAIR = MonomialIdeal(3, [(2, 2, 0), (0, 2, 2)])
 TRIANGLE = MonomialIdeal(3, [(2, 2, 0), (0, 2, 2), (2, 0, 2)])
@@ -55,6 +62,30 @@ UNITS = ((0, 1), (1, 0))  # the generators x2, x1
 def test_power_zero_rejected(call):
     with pytest.raises(ValueError, match=r"^power must be >= 1, got 0$"):
         call(0)
+
+
+@pytest.mark.parametrize("bad", [True, 1.0, Fraction(3, 2)], ids=["bool", "float", "fraction"])
+@pytest.mark.parametrize(
+    "name, call",
+    [
+        ("k", lambda ideal, v: closure_generators(ideal, v)),
+        ("k", lambda ideal, v: is_integrally_closed(ideal, v)),
+        ("k", lambda ideal, v: power_identity_certificate(ideal, (1, 4, 1), v)),
+        ("k", lambda ideal, v: scaling_membership(ideal, (1, 4, 1), v, 4)),
+        ("kmax", lambda ideal, v: is_normal_up_to(ideal, v)),
+        ("s_max", lambda ideal, v: scaling_membership(ideal, (1, 4, 1), 1, v)),
+    ],
+    ids=[
+        "closure_generators", "is_integrally_closed", "power_identity_certificate",
+        "scaling_membership", "is_normal_up_to", "scaling_membership-s_max",
+    ],
+)
+def test_non_int_power_rejected_before_any_solve(solve_keys, name, call, bad):
+    # True == 1 and 1.0 == 1 would pass for k = 1; the type is refused first
+    message = re.escape(f"{name} must be an int, got {bad!r}")
+    with pytest.raises(TypeError, match=f"^{message}$"):
+        call(MonomialIdeal(3, PAIR.generators), bad)
+    assert solve_keys == []
 
 
 def sweep_width_cases():
@@ -478,18 +509,29 @@ class TestScalingMembership:
         result = scaling_membership(PAIR, (2, 2, 0), 1)
         assert result.member and result.s == 1
 
-    def test_outside_closure_never_member(self):
-        result = scaling_membership(PAIR, (1, 1, 1), 1, 6)
+    def test_outside_closure_never_member(self, solve_keys):
+        # (1, 1, 1) has LP value 1/2 < 1: no s*a packs s generators, and
+        # the LP bound says so without an integer program
+        ideal = MonomialIdeal(3, PAIR.generators)
+        result = scaling_membership(ideal, (1, 1, 1), 1, 6)
         assert not result.member and result.s == 6
+        assert [rhs for _, rhs in solve_keys] == [(1, 1, 1)]
+        assert "ip" not in ideal._cache
+        # with the LP memo warm, the answer takes no solve at all
+        assert scaling_membership(ideal, (1, 1, 1), 1, 6) == result
+        assert len(solve_keys) == 1
 
     def test_default_bound_from_certificate(self):
         # lcm of the (1/2, 1/2) certificate denominators is 2
         result = scaling_membership(PAIR, (1, 4, 1), 1)
         assert result.member and result.s == 2
 
-    def test_default_bound_when_outside_closure(self):
-        result = scaling_membership(PAIR, (1, 1, 1), 1)
+    def test_default_bound_when_outside_closure(self, solve_keys):
+        ideal = MonomialIdeal(3, PAIR.generators)
+        result = scaling_membership(ideal, (1, 1, 1), 1)
         assert not result.member and result.s == 1
+        assert len(solve_keys) == 1  # the LP of (1, 1, 1)
+        assert "ip" not in ideal._cache
 
     def test_past_deadline_raises(self):
         with pytest.raises(ResourceCapError):
@@ -502,9 +544,50 @@ class TestScalingMembership:
         with pytest.raises(ResourceCapError):
             scaling_membership(ideal, (1, 1), 1)
 
-    def test_s_max_below_one_rejected(self):
-        with pytest.raises(ValueError):
-            scaling_membership(PAIR, (1, 4, 1), 1, s_max=0)
+    def test_s_max_below_one_rejected(self, solve_keys):
+        # outside the closure, past the deadline: the bound is still checked first
+        for a in ((1, 4, 1), (1, 1, 1)):
+            with pytest.raises(ValueError, match=r"^s_max must be >= 1, got 0$"):
+                scaling_membership(
+                    MonomialIdeal(3, PAIR.generators), a, 1, s_max=0,
+                    deadline=time.monotonic() - 1.0,
+                )
+        assert solve_keys == []
+
+    def test_past_deadline_raises_on_the_lp_refutation(self):
+        ideal = MonomialIdeal(3, PAIR.generators)
+        fractional_packing(ideal, (1, 1, 1))
+        with pytest.raises(ResourceCapError):
+            scaling_membership(ideal, (1, 1, 1), 1, 6, deadline=time.monotonic() - 1.0)
+        with pytest.raises(ResourceCapError):
+            scaling_membership(ideal, (1, 1, 1), 1, deadline=time.monotonic() - 1.0)
+
+    def test_agrees_with_enumerated_integer_programs(self, rng):
+        # The answer is the first s <= s_max where s*a packs s*k generators,
+        # by exhaustive enumeration, and a refutation with no integer program
+        # is backed by the dual-vertex value of a, computed apart from the
+        # simplex that the LP exit trusts.
+        seen = {"member": 0, "lp": 0, "ip": 0}
+        for _ in range(150):
+            ideal = random_proper_ideal(rng, n_max=4, m_max=4, entry_max=3)
+            box = [max(g[j] for g in ideal.generators) for j in range(ideal.n)]
+            for _ in range(3):
+                a = tuple(rng.randint(0, 3 * b) for b in box)
+                k, s_max = rng.randint(1, 3), rng.randint(1, 3)
+                fresh = MonomialIdeal(ideal.n, ideal.generators)
+                result = scaling_membership(fresh, a, k, s_max)
+                hits = [
+                    s for s in range(1, s_max + 1)
+                    if integer_packing_enumerated(ideal, [s * v for v in a]).value >= s * k
+                ]
+                expected = (True, hits[0]) if hits else (False, s_max)
+                assert (result.member, result.s) == expected, (ideal.generators, a, k, s_max)
+                below = fractional_value_by_duality(ideal, a) < k
+                # the exit is taken exactly when the LP bound lies below k
+                assert ("ip" not in fresh._cache) == below
+                seen["member" if result.member else "lp" if below else "ip"] += 1
+        # members, LP refutations and refutations by the integer search all occur
+        assert min(seen.values()) > 0, seen
 
 
 class TestPowerIdentity:
