@@ -50,7 +50,6 @@ from .packing import (
     checked_ip,
     checked_lp,
     dual_functionals,
-    integer_form,
     require_proper,
 )
 
@@ -282,8 +281,7 @@ def power_identity_certificate(
     Reduces the components of the optimal fractional packing in index
     order until they sum to k (which keeps M y <= a), clears their
     denominators with their lcm s, and returns the exact identity
-    s*a = slack + sum of s*y_i copies of each generator, computed in
-    integers over the lcm of the packing's denominators.
+    s*a = slack + sum of s*y_i copies of each generator, in integers.
     """
     _require_count(k, "k", "power")
     return _power_identity(ideal, check_query(ideal, a), k)
@@ -292,12 +290,12 @@ def power_identity_certificate(
 def _power_identity(ideal: MonomialIdeal, vec: ExponentVector, k: int) -> PowerIdentityCertificate:
     """`power_identity_certificate` for a query already checked by `check_query`."""
     packing = checked_lp(ideal, vec)
-    if packing.value < k:
+    nums, den = packing.nums, packing.den
+    excess = sum(nums) - k * den
+    if excess < 0:
         raise ValueError(
             f"x^a is not in the closure of I^{k}: packing value {packing.value} < {k}"
         )
-    nums, den = integer_form(packing.y)
-    excess = sum(nums) - k * den
     reduced = []
     for t in nums:
         cut = min(t, excess)

@@ -21,11 +21,13 @@ times its answer: Bland's rule pivots alike on a positively scaled
 right-hand side, so that is the vertex a new solve returns.  A query
 is checked once, by `check_query` at its public call; the memo, the
 verification of a new answer, the branch and bound and the simplex
-trust that check.  They work on integer numerators over a common
-denominator (`integer_form`) and build `Fraction`s only with a
-certificate.  The vertices of the dual program, enumerated once per
-ideal and kept under `_cache["dual_functionals"]`, let bulk scans test
-closure membership with integer dot products alone.
+trust that check.  From the simplex to the certificate, a packing is
+integer numerators over one denominator, in lowest terms once it is an
+oracle's answer; `Fraction`s are built only when a caller reads a
+certificate's `y` or `value`, and as the exact bound that orders the
+branch-and-bound heap.  The vertices of the dual program, enumerated
+once per ideal and kept under `_cache["dual_functionals"]`, let bulk
+scans test closure membership with integer dot products alone.
 """
 from __future__ import annotations
 
@@ -45,15 +47,22 @@ DEFAULT_NODE_CAP = 100_000
 
 @dataclass(frozen=True)
 class MembershipCertificate:
-    """An optimal packing y with its exact value sum(y).
+    """An optimal packing y = nums / den of value sum(y), in lowest terms.
 
-    `integral` marks certificates whose components are all integers
-    (produced by the integer oracle).
+    The oracles return den >= 1 with gcd(den, *nums) == 1, so equal
+    packings are equal certificates; the integer oracle's have den == 1.
     """
 
-    y: tuple[Fraction, ...]
-    value: Fraction
-    integral: bool
+    nums: tuple[int, ...]
+    den: int
+
+    @property
+    def y(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(t, self.den) for t in self.nums)
+
+    @property
+    def value(self) -> Fraction:
+        return Fraction(sum(self.nums), self.den)
 
 
 def require_proper(ideal: MonomialIdeal) -> None:
@@ -114,30 +123,22 @@ def _solve_lp(ideal: MonomialIdeal, a: ExponentVector) -> MembershipCertificate:
     # a = (p/q) * a0 with p, q > 0, tested by cross-multiplication
     q, p = next(((u, v) for u, v in zip(a0, a) if u), (0, 0))
     if p and all(u * p == v * q for u, v in zip(a0, a)):
-        y = tuple(Fraction(v.numerator * p, v.denominator * q) for v in cert.y)
-        value = Fraction(cert.value.numerator * p, cert.value.denominator * q)
+        nums, den = [t * p for t in cert.nums], cert.den * q
     else:
-        value, nums, den = simplex_maximize(ideal.exponent_matrix(), a)
-        y = tuple(Fraction(t, den) for t in nums)
-        value = Fraction(value, den)
-    return MembershipCertificate(y=y, value=value, integral=all(v.denominator == 1 for v in y))
-
-
-def integer_form(y: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
-    """A packing y as (nums, den): integer numerators over the lcm of its denominators."""
-    den = math.lcm(*(v.denominator for v in y))
-    return tuple(v.numerator * (den // v.denominator) for v in y), den
+        nums, den = simplex_maximize(ideal.exponent_matrix(), a)
+    g = math.gcd(den, *nums)
+    return MembershipCertificate(tuple(t // g for t in nums), den // g)
 
 
 def verify_certificate(
     ideal: MonomialIdeal, bound: Sequence[int], cert: MembershipCertificate
 ) -> bool:
-    """Re-check every certificate invariant against (ideal, bound).
+    """Re-check that the certificate is a feasible packing for (ideal, bound).
 
-    The checks run in integers over the common denominator `den` of y:
-    with y = nums / den, the value, integrality and budget conditions
-    become integer comparisons.  A value or component that is not an
-    int or a Fraction (a float, say) is not exact, so it fails.
+    Its value and integrality are read off nums and den, so feasibility
+    is all there is to check, in integers: one numerator per generator,
+    den >= 1, nums >= 0 and M nums <= a den.  Every entry must be an
+    int: no bool, float or Fraction proves it.
     """
     return _certificate_holds(ideal, check_query(ideal, bound), cert)
 
@@ -146,15 +147,12 @@ def _certificate_holds(
     ideal: MonomialIdeal, a: ExponentVector, cert: MembershipCertificate
 ) -> bool:
     """`verify_certificate` for a bound already checked by `check_query`."""
-    exact = (int, Fraction)
-    if len(cert.y) != ideal.num_generators or not (
-        isinstance(cert.value, exact) and all(isinstance(v, exact) for v in cert.y)
+    nums, den = cert.nums, cert.den
+    if len(nums) != ideal.num_generators or not all(
+        isinstance(v, int) and not isinstance(v, bool) for v in (den, *nums)
     ):
         return False
-    nums, den = integer_form(cert.y)
-    if any(t < 0 for t in nums) or (cert.integral and den != 1):
-        return False
-    if sum(nums) * cert.value.denominator != cert.value.numerator * den:
+    if den < 1 or any(t < 0 for t in nums):
         return False
     return all(sum(map(mul, row, nums)) <= b * den for row, b in zip(ideal.exponent_matrix(), a))
 
@@ -164,11 +162,11 @@ def _solve_box_lp(
     a: Sequence[int],
     lower: Sequence[int],
     upper: Sequence[int | None],
-) -> tuple[int, tuple[int, ...], int] | None:
+) -> tuple[tuple[int, ...], int] | None:
     """LP of a branch-and-bound child: lower <= y (<= upper), M y <= a.
 
-    Returns (value, y, den), the optimum value / den at y / den, or None
-    when the node is infeasible.  The root, with no bounds, is the LP
+    Returns (y, den), the optimum sum(y) / den at y / den, or None when
+    the node is infeasible.  The root, with no bounds, is the LP
     memo's.  Substituting z = y - lower turns the box into the standard
     non-negative form; negative shifted rhs means the node is empty
     because all matrix entries are non-negative.  Branching keeps
@@ -183,8 +181,8 @@ def _solve_box_lp(
         if up is not None:
             ext_rows.append([1 if t == i else 0 for t in range(m)])
             ext_rhs.append(up - lower[i])
-    value, z, den = simplex_maximize(ext_rows, ext_rhs)
-    return value + sum(lower) * den, tuple(t + low * den for t, low in zip(z, lower)), den
+    z, den = simplex_maximize(ext_rows, ext_rhs)
+    return tuple(t + low * den for t, low in zip(z, lower)), den
 
 
 def integer_packing(
@@ -218,19 +216,19 @@ def _branch_and_bound(
 ) -> MembershipCertificate:
     rows = ideal.exponent_matrix()
     root = checked_lp(ideal, a)
-    y, den = integer_form(root.y)
+    y, den = root.nums, root.den
     best = [t // den for t in y]
     best_val = sum(best)
-    # Entries (-bound, insertion count, value, lower, upper, y, den) for
-    # the LP optimum value / den at y / den: the count breaks ties of the
-    # exact bound first in, first out.
+    # Entries (-bound, insertion count, lower, upper, y, den) for the LP
+    # optimum sum(y) / den at y / den: the count breaks ties of the exact
+    # bound first in, first out.
     counter = 0
-    heap = [(-root.value, counter, sum(y), (0,) * len(y), (None,) * len(y), y, den)]
+    heap = [(-root.value, counter, (0,) * len(y), (None,) * len(y), y, den)]
     nodes = 0
     while heap:
         check_deadline(deadline)
-        _, _, value, lower, upper, y, den = heapq.heappop(heap)
-        if value // den <= best_val:
+        _, _, lower, upper, y, den = heapq.heappop(heap)
+        if sum(y) // den <= best_val:
             break  # best-bound order: nothing left can beat the incumbent
         nodes += 1
         if nodes > DEFAULT_NODE_CAP:
@@ -247,14 +245,12 @@ def _branch_and_bound(
         lo_branch[frac_idx], hi_branch[frac_idx] = floors[frac_idx], floors[frac_idx] + 1
         for new_lower, new_upper in ((lower, tuple(lo_branch)), (tuple(hi_branch), upper)):
             sol = _solve_box_lp(rows, a, new_lower, new_upper)
-            if sol is None or sol[0] // sol[2] <= best_val:
+            if sol is None or sum(sol[0]) // sol[1] <= best_val:
                 continue
             counter += 1
-            entry = (Fraction(-sol[0], sol[2]), counter, sol[0], new_lower, new_upper, *sol[1:])
+            entry = (Fraction(-sum(sol[0]), sol[1]), counter, new_lower, new_upper, *sol)
             heapq.heappush(heap, entry)
-    return MembershipCertificate(
-        y=tuple(map(Fraction, best)), value=Fraction(best_val), integral=True
-    )
+    return MembershipCertificate(tuple(best), 1)
 
 
 def dual_functionals(

@@ -24,7 +24,7 @@ class UnboundedProgramError(Exception):
 
 def simplex_maximize(
     rows: Sequence[Sequence[int]], rhs: Sequence[int]
-) -> tuple[int, tuple[int, ...], int]:
+) -> tuple[tuple[int, ...], int]:
     """Solve max 1.x s.t. rows.x <= rhs, x >= 0 exactly.
 
     The number of variables is the row length.  Unchecked precondition,
@@ -32,9 +32,9 @@ def simplex_maximize(
     entries, rhs >= 0.  `packing._solve_lp` passes a proper ideal's
     `exponent_matrix()` and a checked bound; `packing._solve_box_lp`
     adds 0/1 unit rows and returns None before a negative shifted rhs.
-    Returns (value, x, den): the optimal value value / den and one
-    optimal vertex x / den, over the tableau's common denominator
-    den > 0, not reduced.  The pivot choice is Bland's rule: smallest
+    Returns (x, den): one optimal vertex x / den, over the tableau's
+    common denominator den > 0, not reduced; the optimal value is
+    sum(x) / den.  The pivot choice is Bland's rule: smallest
     eligible column, then smallest basic variable on ratio ties.  An
     unbounded objective raises UnboundedProgramError.
 
@@ -78,7 +78,7 @@ def simplex_maximize(
     for i, bv in enumerate(basis):
         if bv < m:
             x[bv] = tab[i][-1]
-    return -tab[n][-1], tuple(x), den
+    return tuple(x), den
 
 
 def _pivot(tab: list[list[int]], row: int, col: int, den: int) -> int:

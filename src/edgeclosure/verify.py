@@ -20,9 +20,9 @@ graph at k = 1, so records and violation texts are the ones the engine
 alone would give.  A record is consistent iff "scan-clean" agrees with
 "every probed power closed"; an inconsistent record adds a violation
 and flips the run's `passed` flag.  Serialized runs omit wall times so
-identical inputs yield byte-identical JSON.  A negative weight bound or
-sample size, or a universe with no graph in it, raises ValueError
-rather than passing vacuously.
+identical inputs yield byte-identical JSON.  A size, seed or kmax that
+is not an int raises TypeError; one out of range, or a universe with
+no graph in it, raises ValueError rather than passing vacuously.
 """
 from __future__ import annotations
 
@@ -32,7 +32,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
-from .closure import DEFAULT_BOX_CAP, is_normal_up_to
+from .closure import DEFAULT_BOX_CAP, _require_count, is_normal_up_to
 from .graphs import (
     PatternWitness,
     WeightedGraph,
@@ -260,12 +260,12 @@ def run_equivalence_check(
     time_cap: float | None = None,
 ) -> VerificationRun:
     """Equivalence over the exhaustive universe, or a seeded sample of it."""
-    _require_non_negative("weight_max", weight_max)
+    _require_non_negative(n_max=n_max, weight_max=weight_max)
     descriptor: dict = {"n_max": n_max, "weight_max": weight_max}
     if sample is not None:
-        _require_non_negative("sample", sample)
         if seed is None:
             raise ValueError("sampled universes require a seed")
+        _require_non_negative(sample=sample, seed=seed)
         descriptor.update({"sample": sample, "seed": seed})
         graphs: Iterable[WeightedGraph] = sample_weighted_graphs(
             n_max, weight_max, sample, seed
@@ -299,7 +299,8 @@ def run_normality_check(
     Scan-clean members must have every power up to kmax closed, and
     scan-flagged members must fail already at k = 1.
     """
-    _require_non_negative("weight_max", weight_max)
+    _require_non_negative(n_max=n_max, weight_max=weight_max)
+    _require_count(kmax, "kmax", "kmax")
     run = VerificationRun(
         mode="normality",
         descriptor={
@@ -317,9 +318,13 @@ def run_normality_check(
     return _require_graphs(_probe(run, keyed_graphs, kmax, box_cap, time_cap))
 
 
-def _require_non_negative(name: str, value: int) -> None:
-    if value < 0:
-        raise ValueError(f"{name} must be >= 0, got {value}")
+def _require_non_negative(**values: int) -> None:
+    """Refuse a size or seed that is not an int >= 0, as `as_exponent_vector` would."""
+    for name, value in values.items():
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise TypeError(f"{name} must be an int, got {value!r}")
+        if value < 0:
+            raise ValueError(f"{name} must be >= 0, got {value}")
 
 
 def _require_graphs(run: VerificationRun) -> VerificationRun:

@@ -266,9 +266,7 @@ def integer_packing_enumerated(
             rec(i + 1, nxt, prefix + [t])
 
     rec(0, [0] * n, [])
-    cert = MembershipCertificate(
-        y=tuple(Fraction(v) for v in best_y), value=Fraction(best_val), integral=True
-    )
+    cert = MembershipCertificate(best_y, 1)
     if not verify_certificate(ideal, a, cert):
         raise AssertionError("enumeration produced an invalid certificate")
     return cert
@@ -322,9 +320,7 @@ def integer_packing_by_fractions(
                 counter += 1
                 sol = tuple(lo + v for lo, v in zip(new_lower, z))
                 heapq.heappush(heap, (-value, counter, new_lower, new_upper, sol))
-    return MembershipCertificate(
-        y=tuple(Fraction(v) for v in best), value=Fraction(best_val), integral=True
-    )
+    return MembershipCertificate(tuple(best), 1)
 
 
 def closure_generators_bruteforce(

@@ -67,7 +67,7 @@ class TestFractional:
         cert = fractional_packing(PAIR, (1, 4, 1))
         assert cert.value == 1
         assert cert.y == (Fraction(1, 2), Fraction(1, 2))
-        assert not cert.integral
+        assert (cert.nums, cert.den) == ((1, 1), 2)
 
     def test_generator_itself(self):
         # generators are stored sorted: ((0,2,2), (2,2,0))
@@ -89,7 +89,7 @@ class TestInteger:
     def test_forced_zero(self):
         cert = integer_packing(PAIR, (1, 4, 1))
         assert cert.value == 0
-        assert cert.integral
+        assert cert.den == 1
 
     def test_both_generators_fit(self):
         cert = integer_packing(PAIR, (2, 4, 2))
@@ -133,9 +133,9 @@ class TestInteger:
         monkeypatch.setattr(
             edgeclosure.packing,
             "_certificate_holds",
-            lambda ideal, bound, cert: not cert.integral and verify(ideal, bound, cert),
+            lambda ideal, bound, cert: cert.den != 1 and verify(ideal, bound, cert),
         )
-        assert not fractional_packing(PAIR, (3, 6, 3)).integral
+        assert fractional_packing(PAIR, (3, 6, 3)).den != 1
         with pytest.raises(AssertionError, match="IP oracle"):
             integer_packing(PAIR, (3, 6, 3))
 
@@ -146,28 +146,26 @@ class TestCertificates:
         assert verify_certificate(PAIR, (1, 4, 1), cert)
 
     def test_verify_rejects_negative_component(self):
-        bad = MembershipCertificate(
-            y=(Fraction(-1, 2), Fraction(3, 2)), value=Fraction(1), integral=False
-        )
-        assert not verify_certificate(PAIR, (1, 4, 1), bad)
-
-    def test_verify_rejects_wrong_value(self):
-        bad = MembershipCertificate(
-            y=(Fraction(1, 2), Fraction(1, 2)), value=Fraction(2), integral=False
-        )
+        bad = MembershipCertificate((-1, 3), 2)
         assert not verify_certificate(PAIR, (1, 4, 1), bad)
 
     def test_verify_rejects_infeasible(self):
-        bad = MembershipCertificate(
-            y=(Fraction(2), Fraction(2)), value=Fraction(4), integral=True
-        )
+        bad = MembershipCertificate((2, 2), 1)
         assert not verify_certificate(PAIR, (1, 4, 1), bad)
 
-    def test_verify_rejects_fractional_marked_integral(self):
-        bad = MembershipCertificate(
-            y=(Fraction(1, 2), Fraction(1, 2)), value=Fraction(1), integral=True
-        )
-        assert not verify_certificate(PAIR, (1, 4, 1), bad)
+    def test_certificates_are_in_lowest_terms(self, rng):
+        for _ in range(150):
+            ideal = random_proper_ideal(rng)
+            a = tuple(rng.randint(0, 4) for _ in range(ideal.n))
+            # a fresh solve for a, then the memo's rescaled answer for 2a
+            for bound in (a, tuple(2 * v for v in a)):
+                lp = fractional_packing(ideal, bound)
+                ip = integer_packing(ideal, bound)
+                for cert in (lp, ip):
+                    assert cert.den >= 1 and math.gcd(cert.den, *cert.nums) == 1
+                assert ip.den == 1
+                assert lp.value == fractional_value_by_duality(ideal, bound)
+                assert ip.value == integer_packing_enumerated(ideal, bound).value
 
 
 class TestTamperedCertificates:
@@ -177,37 +175,52 @@ class TestTamperedCertificates:
 
     @pytest.fixture
     def cert(self):
+        # y = (1/3, 5/2) is tight on both coordinates of A
         cert = fractional_packing(MIXED, self.A)
-        assert cert.y == (Fraction(1, 3), Fraction(5, 2))
+        assert (cert.nums, cert.den) == ((2, 15), 6)
         assert verify_certificate(MIXED, self.A, cert)
         return cert
 
     @pytest.mark.parametrize("index", [0, 1])
+    def test_numerator_raised_by_one(self, cert, index):
+        nums = list(cert.nums)
+        nums[index] += 1
+        assert not verify_certificate(MIXED, self.A, replace(cert, nums=tuple(nums)))
+
+    @pytest.mark.parametrize("index", [0, 1])
     def test_component_raised_by_a_thousandth(self, cert, index):
-        y = list(cert.y)
-        y[index] += Fraction(1, 1000)
-        # the value left as it was: both the value and the budget break
-        assert not verify_certificate(MIXED, self.A, replace(cert, y=tuple(y)))
-        # the value raised as well: only the budget breaks
-        raised = replace(cert, y=tuple(y), value=cert.value + Fraction(1, 1000))
+        # y_index + 1/1000 over the denominator 1000 * den, not in lowest terms
+        nums = [1000 * t for t in cert.nums]
+        nums[index] += cert.den
+        raised = MembershipCertificate(tuple(nums), 1000 * cert.den)
         assert not verify_certificate(MIXED, self.A, raised)
 
-    def test_value_off_by_a_seventh(self, cert):
-        bad = replace(cert, value=cert.value + Fraction(1, 7))
-        assert not verify_certificate(MIXED, self.A, bad)
-
-    def test_integral_flag_on_fractional_y(self, cert):
-        assert not verify_certificate(MIXED, self.A, replace(cert, integral=True))
-
-    def test_float_entries(self, cert):
-        assert not verify_certificate(MIXED, self.A, replace(cert, y=(1 / 3, 2.5)))
-        assert not verify_certificate(MIXED, self.A, replace(cert, value=float(cert.value)))
+    @pytest.mark.parametrize("nums", [(2,), (2, 15, 0)], ids=["short", "long"])
+    def test_wrong_length(self, cert, nums):
+        assert not verify_certificate(MIXED, self.A, replace(cert, nums=nums))
 
     def test_negative_component(self, cert):
-        # value and budget still hold; only the sign is wrong
-        y = (-cert.y[0], cert.y[1])
-        bad = replace(cert, y=y, value=sum(y))
-        assert not verify_certificate(MIXED, self.A, bad)
+        # the budget still holds; only the sign is wrong
+        assert not verify_certificate(MIXED, self.A, replace(cert, nums=(-2, 15)))
+
+    @pytest.mark.parametrize("bad", [True, 1.0, Fraction(1)], ids=["bool", "float", "fraction"])
+    @pytest.mark.parametrize("where", ["nums", "den"])
+    def test_non_int_entry(self, bad, where):
+        # y = (1, 1) packs both generators of PAIR under (2, 4, 2); an
+        # entry of equal value but not an int does not prove it
+        cert = MembershipCertificate((1, 1), 1)
+        assert verify_certificate(PAIR, (2, 4, 2), cert)
+        if where == "nums":
+            bad_cert = replace(cert, nums=(bad, 1))
+        else:
+            bad_cert = replace(cert, den=bad)
+        assert not verify_certificate(PAIR, (2, 4, 2), bad_cert)
+
+    @pytest.mark.parametrize("den", [0, -1])
+    def test_denominator_below_one(self, den):
+        # the empty packing meets the zero bound for every den
+        assert verify_certificate(PAIR, (0, 0, 0), MembershipCertificate((0, 0), 1))
+        assert not verify_certificate(PAIR, (0, 0, 0), MembershipCertificate((0, 0), den))
 
 
 class TestInvariants:

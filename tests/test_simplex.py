@@ -28,9 +28,9 @@ from oracles import simplex_maximize_fractions, solve_integer_system
 
 def simplex_fractions(rows, rhs):
     """`simplex_maximize` read as exact values: each numerator over den."""
-    value, x, den = simplex_maximize(rows, rhs)
+    x, den = simplex_maximize(rows, rhs)
     assert den > 0
-    return Fraction(value, den), tuple(Fraction(t, den) for t in x)
+    return Fraction(sum(x), den), tuple(Fraction(t, den) for t in x)
 
 
 def _solve(solver, rows, rhs):
@@ -78,7 +78,7 @@ class TestSimplex:
         assert y == (Fraction(1, 2), Fraction(1, 2))
 
     def test_single_variable(self):
-        assert simplex_maximize([[3]], [7]) == (7, (7,), 3)
+        assert simplex_maximize([[3]], [7]) == ((7,), 3)
         value, y = simplex_fractions([[3]], [7])
         assert value == Fraction(7, 3)
         assert y == (Fraction(7, 3),)
@@ -139,7 +139,7 @@ class TestSimplex:
         else:
             ideal = MonomialIdeal(3, [(2, 2, 0), (0, 2, 2)])
             bound = (1, bad, 1)
-            cert = MembershipCertificate(y=(Fraction(0),) * 2, value=Fraction(0), integral=True)
+            cert = MembershipCertificate((0, 0), 1)
             identity = PowerIdentityCertificate(scale=1, multiplicities=(1, 0), slack=(0, 0, 0))
             entries = (
                 lambda: fractional_packing(ideal, bound),

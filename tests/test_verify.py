@@ -112,6 +112,59 @@ class TestEquivalence:
         )
 
 
+class TestEntryChecks:
+    """Sizes, seeds and kmax are refused before any graph is scanned."""
+
+    @pytest.fixture
+    def scanned(self, monkeypatch) -> list:
+        graphs = []
+        scan = edgeclosure.verify.forbidden_pattern_scan
+
+        def spy(g):
+            graphs.append(g)
+            return scan(g)
+
+        monkeypatch.setattr(edgeclosure.verify, "forbidden_pattern_scan", spy)
+        return graphs
+
+    @pytest.mark.parametrize("bad", [True, 2.0], ids=["bool", "float"])
+    @pytest.mark.parametrize(
+        "name, run",
+        [
+            ("n_max", lambda v: run_equivalence_check(v, 2)),
+            ("weight_max", lambda v: run_equivalence_check(2, v)),
+            ("sample", lambda v: run_equivalence_check(2, 2, sample=v, seed=1)),
+            ("seed", lambda v: run_equivalence_check(2, 2, sample=3, seed=v)),
+            ("n_max", lambda v: run_normality_check(v, 2, 1)),
+            ("weight_max", lambda v: run_normality_check(2, v, 1)),
+            ("kmax", lambda v: run_normality_check(2, 2, v)),
+        ],
+        ids=[
+            "thm36-n_max", "thm36-weight_max", "thm36-sample", "thm36-seed",
+            "normality-n_max", "normality-weight_max", "normality-kmax",
+        ],
+    )
+    def test_non_int_refused(self, scanned, bad, name, run):
+        with pytest.raises(TypeError, match=f"^{name} must be an int, got {bad!r}$"):
+            run(bad)
+        assert scanned == []
+
+    @pytest.mark.parametrize(
+        "message, run",
+        [
+            ("n_max must be >= 0", lambda: run_equivalence_check(-1, 2)),
+            ("seed must be >= 0", lambda: run_equivalence_check(2, 2, sample=3, seed=-1)),
+            ("n_max must be >= 0", lambda: run_normality_check(-1, 2, 1)),
+            ("kmax must be >= 1", lambda: run_normality_check(2, 2, 0)),
+        ],
+        ids=["thm36-n_max", "thm36-seed", "normality-n_max", "normality-kmax"],
+    )
+    def test_out_of_range_refused(self, scanned, message, run):
+        with pytest.raises(ValueError, match=message):
+            run()
+        assert scanned == []
+
+
 class TestNormalityMode:
     def test_small_families_pass(self):
         run = run_normality_check(4, 2, 2)
