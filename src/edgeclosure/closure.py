@@ -44,8 +44,11 @@ from .ideals import (
     flat_index,
     generator_sums,
     power_box,
+    require_int,
 )
 from .packing import (
+    MembershipCertificate,
+    _certificate_holds,
     check_query,
     checked_ip,
     checked_lp,
@@ -95,18 +98,6 @@ class ScalingResult:
     s: int
 
 
-def _require_count(value: int, name: str, label: str) -> None:
-    """Refuse a power or bound that is not an int >= 1, before any solve.
-
-    Only an exact int passes: bool, float and Fraction are refused, as
-    `as_exponent_vector` refuses them as exponent entries.
-    """
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise TypeError(f"{name} must be an int, got {value!r}")
-    if value < 1:
-        raise ValueError(f"{label} must be >= 1, got {value}")
-
-
 def closure_generators(
     ideal: MonomialIdeal,
     k: int,
@@ -115,7 +106,7 @@ def closure_generators(
     deadline: float | None = None,
 ) -> tuple[ExponentVector, ...]:
     """Minimal generators of the integral closure of I^k, sorted lex."""
-    _require_count(k, "k", "power")
+    require_int(1, k=k)
     require_proper(ideal)
     shape = tuple(b + 1 for b in power_box(ideal, k))
     volume = math.prod(shape)
@@ -257,7 +248,7 @@ def is_normal_up_to(
     deadline: float | None = None,
 ) -> list[ClosureReport]:
     """Probe closedness of I^k for k = 1..kmax, stopping at a failure."""
-    _require_count(kmax, "kmax", "kmax")
+    require_int(1, kmax=kmax)
     reports = []
     for k in range(1, kmax + 1):
         report = is_integrally_closed(
@@ -283,7 +274,7 @@ def power_identity_certificate(
     denominators with their lcm s, and returns the exact identity
     s*a = slack + sum of s*y_i copies of each generator, in integers.
     """
-    _require_count(k, "k", "power")
+    require_int(1, k=k)
     return _power_identity(ideal, check_query(ideal, a), k)
 
 
@@ -324,15 +315,14 @@ def verify_power_identity(
 def _identity_holds(
     ideal: MonomialIdeal, vec: ExponentVector, k: int, cert: PowerIdentityCertificate
 ) -> bool:
-    scale, mults, slack = cert.scale, cert.multiplicities, cert.slack
-    if not all(isinstance(v, int) and not isinstance(v, bool) for v in (scale, *mults, *slack)):
-        return False
-    if scale < 1 or len(mults) != ideal.num_generators or len(slack) != ideal.n:
-        return False
-    if any(v < 0 for v in (*mults, *slack)) or sum(mults) != scale * k:
+    """Its multiplicities over `scale` are a packing of a of value k, checked as one."""
+    scale, mults = cert.scale, cert.multiplicities
+    if not _certificate_holds(ideal, vec, MembershipCertificate(mults, scale)) or sum(mults) != scale * k:
         return False
     rows = ideal.exponent_matrix()
-    return all(s + sum(map(mul, row, mults)) == scale * v for s, row, v in zip(slack, rows, vec))
+    slack = tuple(cert.slack)
+    exact = tuple(scale * v - sum(map(mul, row, mults)) for v, row in zip(vec, rows))
+    return slack == exact and all(isinstance(s, int) and not isinstance(s, bool) for s in slack)
 
 
 def scaling_membership(
@@ -358,10 +348,10 @@ def scaling_membership(
     below k.  `deadline` is checked on that early answer too, and passed
     to every integer oracle call.
     """
-    _require_count(k, "k", "power")
+    require_int(1, k=k)
     vec = check_query(ideal, a)
     if s_max is not None:
-        _require_count(s_max, "s_max", "s_max")
+        require_int(1, s_max=s_max)
     value = checked_lp(ideal, vec).value
     if s_max is None:
         s_max = _power_identity(ideal, vec, k).scale if value >= k else 1

@@ -29,6 +29,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import DimensionMismatchError, InfeasibleInstanceError, ResourceCapError
+from .ideals import require_int
 
 MAX_COVER_EDGES = 1_000_000  # largest cover extract_cover will build
 
@@ -44,6 +45,7 @@ class PathInstance:
     y: tuple[Fraction, ...]
 
     def __post_init__(self):
+        require_int(0, n=self.n)
         if self.n < 2:
             raise ValueError("path instances need n >= 2 vertices")
         if len(self.a) != self.n:

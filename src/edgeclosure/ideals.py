@@ -3,7 +3,10 @@
 A monomial x^a is identified with its exponent vector a, a tuple of
 non-negative integers of fixed length n.  An ideal stores the minimal
 generators sorted lexicographically, so equal ideals compare and hash
-equal and all derived output is deterministic.
+equal and all derived output is deterministic.  This module owns the
+package's one exact-int rule, for exponent vectors and for sizes,
+powers and bounds alike: only an int passes, never a bool, a float or
+a `Fraction`.
 """
 from __future__ import annotations
 
@@ -36,6 +39,19 @@ def as_exponent_vector(entries: Sequence[int], n: int | None = None) -> Exponent
     return vec
 
 
+def require_int(least: int, **values: int) -> None:
+    """Refuse each named size, power or bound that is not an int >= least.
+
+    The rule of `as_exponent_vector`: bool, float and `Fraction` are
+    refused with a TypeError, a value below `least` with a ValueError.
+    """
+    for name, value in values.items():
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise TypeError(f"{name} must be an int, got {value!r}")
+        if value < least:
+            raise ValueError(f"{name} must be >= {least}, got {value}")
+
+
 def checked_mul(a: int, b: int) -> int:
     """Multiply non-negative ints, erroring out of 64-bit range."""
     r = a * b
@@ -65,8 +81,7 @@ class MonomialIdeal:
     __slots__ = ("n", "generators", "_cache")
 
     def __init__(self, n: int, generators: Iterable[Sequence[int]]):
-        if n < 0:
-            raise ValueError("ambient variable count must be >= 0")
+        require_int(0, n=n)
         gens = sorted(as_exponent_vector(g, n) for g in generators)
         if len(gens) != len(set(gens)):
             raise ValueError("duplicate generators")
@@ -177,8 +192,7 @@ def generator_sums(
     checked before each of the k - 1 rounds of adding one more
     generator.
     """
-    if k < 1:
-        raise ValueError(f"power exponent must be >= 1, got {k}")
+    require_int(1, k=k)
     strides = box_strides([b + 1 for b in power_box(ideal, k)])
     gens = {flat_index(g, strides) for g in ideal.generators}
     sums = gens

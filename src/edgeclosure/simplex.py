@@ -1,17 +1,18 @@
 """Exact fraction-free simplex and fraction-free linear solving.
 
-Both solvers compute in Python integers only.  The simplex solves the
-one program this package asks: the packing LP max 1.x subject to
-A x <= b, x >= 0 with integer data and b >= 0, whose all-slack basis
-is feasible, so no phase-1 step is needed.  Its two callers,
-`packing._solve_lp` and `packing._solve_box_lp`, build only such
-programs from a query checked where it entered, so it checks nothing.
-It keeps one integer tableau over a common denominator, the last
-pivot, and divides every update exactly by the previous one (Bareiss
-1968; Edmonds 1967), so the optimum is read off the tableau as integer
-numerators over that denominator, and no `Fraction` is built here at
-all.  Bland's rule guarantees termination and makes every solve
-deterministic.
+One pivot, `_pivot`, serves both solvers, in Python integers only.  The
+simplex solves the one program this package asks: the packing LP
+max 1.x subject to A x <= b, x >= 0 with integer data and b >= 0,
+whose all-slack basis is feasible, so no phase-1 step is needed.  Its
+two callers, `packing._solve_lp` and `packing._solve_box_lp`, build
+only such programs from a query checked where it entered, so it checks
+nothing.  It keeps one integer tableau over a common denominator, the
+last pivot, and divides every update exactly by the previous one
+(Bareiss 1968; Edmonds 1967), so the optimum is read off the tableau as
+integer numerators over that denominator, and no `Fraction` is built
+here at all.  Bland's rule guarantees termination and makes every solve
+deterministic.  The square solver is Gauss-Jordan elimination with the
+same pivot.
 """
 from __future__ import annotations
 
@@ -101,44 +102,27 @@ def solve_integer_system_scaled(
 ) -> tuple[tuple[int, ...], int] | None:
     """Solve the square integer system rows.x = rhs exactly.
 
-    Fraction-free Bareiss elimination followed by all-integer
-    back-substitution over the common denominator: returns (num, den)
-    with den > 0 and solution x = num / den (not necessarily reduced),
-    or None for a singular matrix.
+    Fraction-free Gauss-Jordan elimination on `_pivot`: each column is
+    pivoted on the first row not pivoted yet with a nonzero entry there,
+    and a column with no such row means a singular matrix, answered by
+    None.  After the last pivot, den, which is +-det(rows), each
+    unknown is its pivot row's right-hand side over den.  Returns
+    (num, den) with den > 0 and solution x = num / den (not necessarily
+    reduced).
 
     The library itself no longer calls this solver: the dual vertices
     come from `packing.dual_functionals`.  It stays public for callers
     and for the basis-by-basis reference enumeration in the tests.
     """
     n = len(rows)
-    aug = [list(rows[i]) + [rhs[i]] for i in range(n)]
-    prev = 1
+    tab = [list(row) + [b] for row, b in zip(rows, rhs)]
+    order: list[int] = []  # order[j]: the row pivoted on column j
+    den = 1
     for col in range(n):
-        piv_row = next((r for r in range(col, n) if aug[r][col]), None)
-        if piv_row is None:
+        row = next((i for i in range(n) if i not in order and tab[i][col]), None)
+        if row is None:
             return None
-        if piv_row != col:
-            aug[col], aug[piv_row] = aug[piv_row], aug[col]
-        pivot = aug[col][col]
-        for r in range(col + 1, n):
-            row = aug[r]
-            factor = row[col]
-            lead = aug[col]
-            for c in range(col, n + 1):
-                row[c] = (row[c] * pivot - factor * lead[c]) // prev
-        prev = pivot
-    # den = last pivot = determinant of the row-permuted matrix; each
-    # den * x_i is an integer by Cramer, so the divisions are exact.
-    den = aug[n - 1][n - 1]
-    num = [0] * n
-    for i in range(n - 1, -1, -1):
-        acc = aug[i][n] * den
-        row = aug[i]
-        for j in range(i + 1, n):
-            acc -= row[j] * num[j]
-        num[i] = acc // row[i]
-    if den < 0:
-        den = -den
-        num = [-v for v in num]
-    return tuple(num), den
-
+        den = _pivot(tab, row, col, den)
+        order.append(row)
+    sign = 1 if den > 0 else -1
+    return tuple(sign * tab[i][n] for i in order), sign * den

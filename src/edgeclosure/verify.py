@@ -20,9 +20,11 @@ graph at k = 1, so records and violation texts are the ones the engine
 alone would give.  A record is consistent iff "scan-clean" agrees with
 "every probed power closed"; an inconsistent record adds a violation
 and flips the run's `passed` flag.  Serialized runs omit wall times so
-identical inputs yield byte-identical JSON.  A size, seed or kmax that
-is not an int raises TypeError; one out of range, or a universe with
-no graph in it, raises ValueError rather than passing vacuously.
+identical inputs yield byte-identical JSON.  A size, count, seed or
+kmax that is not an int raises TypeError, in the run entries and in the
+graph generators alike, before the first graph; one out of range, or a
+universe with no graph in it, raises ValueError rather than passing
+vacuously.
 """
 from __future__ import annotations
 
@@ -32,7 +34,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
-from .closure import DEFAULT_BOX_CAP, _require_count, is_normal_up_to
+from .closure import DEFAULT_BOX_CAP, is_normal_up_to
 from .graphs import (
     PatternWitness,
     WeightedGraph,
@@ -44,7 +46,7 @@ from .graphs import (
     star_graph,
     to_jsonable,
 )
-from .ideals import as_exponent_vector
+from .ideals import as_exponent_vector, require_int
 
 
 @dataclass(frozen=True)
@@ -100,6 +102,7 @@ def graph_key(g: WeightedGraph) -> str:
 
 def enumerate_weighted_graphs(n: int, weight_max: int) -> Iterator[WeightedGraph]:
     """All labeled graphs on [n] with each edge absent or weighted 1..weight_max."""
+    require_int(0, n=n, weight_max=weight_max)
     pairs = list(itertools.combinations(range(1, n + 1), 2))
     for assignment in itertools.product(range(weight_max + 1), repeat=len(pairs)):
         edges = tuple(
@@ -112,6 +115,7 @@ def sample_weighted_graphs(
     n: int, weight_max: int, count: int, seed: int
 ) -> Iterator[WeightedGraph]:
     """Seeded uniform sample over the same universe as the exhaustive walk."""
+    require_int(0, n=n, weight_max=weight_max, count=count, seed=seed)
     rng = random.Random(seed)
     pairs = list(itertools.combinations(range(1, n + 1), 2))
     for _ in range(count):
@@ -135,6 +139,7 @@ def family_graphs(
     family: str, n_max: int, weight_max: int
 ) -> Iterator[WeightedGraph]:
     """Structured star/path/cycle members with all weight assignments."""
+    require_int(0, n_max=n_max, weight_max=weight_max)
     if family not in _FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     build, fewest, excess = _FAMILIES[family]
@@ -260,12 +265,12 @@ def run_equivalence_check(
     time_cap: float | None = None,
 ) -> VerificationRun:
     """Equivalence over the exhaustive universe, or a seeded sample of it."""
-    _require_non_negative(n_max=n_max, weight_max=weight_max)
+    require_int(0, n_max=n_max, weight_max=weight_max)
     descriptor: dict = {"n_max": n_max, "weight_max": weight_max}
     if sample is not None:
         if seed is None:
             raise ValueError("sampled universes require a seed")
-        _require_non_negative(sample=sample, seed=seed)
+        require_int(0, sample=sample, seed=seed)
         descriptor.update({"sample": sample, "seed": seed})
         graphs: Iterable[WeightedGraph] = sample_weighted_graphs(
             n_max, weight_max, sample, seed
@@ -299,8 +304,8 @@ def run_normality_check(
     Scan-clean members must have every power up to kmax closed, and
     scan-flagged members must fail already at k = 1.
     """
-    _require_non_negative(n_max=n_max, weight_max=weight_max)
-    _require_count(kmax, "kmax", "kmax")
+    require_int(0, n_max=n_max, weight_max=weight_max)
+    require_int(1, kmax=kmax)
     run = VerificationRun(
         mode="normality",
         descriptor={
@@ -316,15 +321,6 @@ def run_normality_check(
         for g in family_graphs(family, n_max, weight_max)
     )
     return _require_graphs(_probe(run, keyed_graphs, kmax, box_cap, time_cap))
-
-
-def _require_non_negative(**values: int) -> None:
-    """Refuse a size or seed that is not an int >= 0, as `as_exponent_vector` would."""
-    for name, value in values.items():
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise TypeError(f"{name} must be an int, got {value!r}")
-        if value < 0:
-            raise ValueError(f"{name} must be >= 0, got {value}")
 
 
 def _require_graphs(run: VerificationRun) -> VerificationRun:

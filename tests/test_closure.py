@@ -60,7 +60,7 @@ UNITS = ((0, 1), (1, 0))  # the generators x2, x1
     ids=["closure_generators", "power_identity_certificate", "scaling_membership"],
 )
 def test_power_zero_rejected(call):
-    with pytest.raises(ValueError, match=r"^power must be >= 1, got 0$"):
+    with pytest.raises(ValueError, match=r"^k must be >= 1, got 0$"):
         call(0)
 
 
@@ -630,9 +630,15 @@ class TestPowerIdentity:
          (UNITS, (5, 5), 1, (1, 1), (4, 4)),
          # x1*x2 is not in (x1^2, x2^2), though half of each generator sums to it
          (((0, 2), (2, 0)), (1, 1), 1, (Fraction(1, 2), Fraction(1, 2)), (0, 0)),
-         (UNITS, (5, 5), 1.0, (1.0, 0.0), (5.0, 4.0))],
+         (UNITS, (5, 5), 1.0, (1.0, 0.0), (5.0, 4.0)),
+         (UNITS, (1, 1), True, (True, False), (True, False)),
+         (UNITS, (1, 1), 1, (1, 0), (True, False)),
+         (UNITS, (5, 5), 1, (1, 0), (5.0, 4.0)),
+         # one copy of x1 = (1, 0) exceeds a in its first entry
+         (UNITS, (0, 5), 1, (0, 1), (-1, 5))],
         ids=["scale-zero", "multiplicities-length", "slack-length", "negative-multiplicity",
-             "wrong-total", "fractional-multiplicity", "float-entries"],
+             "wrong-total", "fractional-multiplicity", "float-entries", "bool-entries",
+             "bool-slack", "float-slack", "negative-slack"],
     )
     def test_verify_rejects_each_broken_condition(
         self, generators, a, scale, multiplicities, slack
@@ -642,6 +648,11 @@ class TestPowerIdentity:
         ideal = MonomialIdeal(2, generators)
         cert = PowerIdentityCertificate(scale, multiplicities, slack)
         assert not verify_power_identity(ideal, a, 1, cert)
+
+    def test_verify_accepts_a_list_slack(self):
+        # (5, 5) = [5, 4] + x2 is a valid identity for k = 1
+        cert = PowerIdentityCertificate(1, (1, 0), [5, 4])
+        assert verify_power_identity(MonomialIdeal(2, UNITS), (5, 5), 1, cert)
 
     def test_soundness_chain_on_closure_generators(self, rng):
         # every claimed closure member is backed by an exact identity

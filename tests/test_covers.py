@@ -102,6 +102,10 @@ class TestValidation:
         with pytest.raises(ValueError):
             PathInstance(len(a), a, y)
 
+    def test_non_int_vertex_count_refused(self):
+        with pytest.raises(TypeError, match=r"^n must be an int, got 2\.0$"):
+            PathInstance(2.0, (1, 1), (1,))
+
     def test_int_and_fraction_entries_accepted(self):
         inst = PathInstance(3, (1, 2, 1), (1, Fraction(1, 2)))
         assert inst.y == (Fraction(1), Fraction(1, 2))

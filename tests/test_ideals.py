@@ -1,4 +1,5 @@
 import random
+import re
 import time
 from itertools import combinations_with_replacement, product
 
@@ -233,7 +234,7 @@ class TestValidation:
             MonomialIdeal(2, [(0, 0), (1, 0)])
 
     def test_negative_variable_count_rejected(self):
-        with pytest.raises(ValueError, match="ambient variable count must be >= 0"):
+        with pytest.raises(ValueError, match=r"^n must be >= 0, got -1$"):
             MonomialIdeal(-1, ())
 
     def test_duplicate_generators_rejected(self):
@@ -258,3 +259,25 @@ class TestValidation:
         assert a == b
         assert hash(a) == hash(b)
         assert a.generators == ((0, 3), (3, 0))
+
+
+@pytest.mark.parametrize("n", [2.0, True], ids=["float", "bool"])
+def test_variable_count_must_be_an_int(n):
+    # 2.0 == 2 and True == 1 would pass a range test; the type is refused first
+    with pytest.raises(TypeError, match=f"^n must be an int, got {re.escape(repr(n))}$"):
+        MonomialIdeal(n, [(1,) * int(n)])
+
+
+@pytest.mark.parametrize(
+    "k, error, message",
+    [
+        (True, TypeError, "k must be an int, got True"),
+        (2.0, TypeError, "k must be an int, got 2.0"),
+        (0, ValueError, "k must be >= 1, got 0"),
+    ],
+    ids=["bool", "float", "zero"],
+)
+@pytest.mark.parametrize("call", [power, generator_sums], ids=["power", "generator_sums"])
+def test_power_exponent_must_be_a_positive_int(call, k, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call(MonomialIdeal(2, [(1, 1)]), k)

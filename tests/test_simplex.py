@@ -33,6 +33,24 @@ def simplex_fractions(rows, rhs):
     return Fraction(sum(x), den), tuple(Fraction(t, den) for t in x)
 
 
+def fraction_det(rows):
+    """det(rows) by Gaussian elimination over `Fraction`s."""
+    m = [[Fraction(v) for v in row] for row in rows]
+    det = Fraction(1)
+    for c in range(len(m)):
+        p = next((r for r in range(c, len(m)) if m[r][c]), None)
+        if p is None:
+            return Fraction(0)
+        if p != c:
+            m[c], m[p] = m[p], m[c]
+            det = -det
+        det *= m[c][c]
+        for r in range(c + 1, len(m)):
+            f = m[r][c] / m[c][c]
+            m[r] = [u - f * v for u, v in zip(m[r], m[c])]
+    return det
+
+
 def _solve(solver, rows, rhs):
     try:
         return solver(rows, rhs)
@@ -192,8 +210,18 @@ class TestIntegerSystem:
     def test_roundtrip_against_constructed_solution(self, case):
         rows, x = case
         rhs = [sum(r[j] * x[j] for j in range(len(x))) for r in rows]
-        sol = solve_integer_system(rows, rhs)
-        if sol is None:
-            return  # singular matrix: nothing to check
+        scaled = solve_integer_system_scaled(rows, rhs)
+        det = fraction_det(rows)
+        if scaled is None:
+            assert det == 0
+            return
+        num, den = scaled
         # solution of a nonsingular system is unique, so it must be x
-        assert sol == tuple(Fraction(v) for v in x)
+        assert tuple(Fraction(v, den) for v in num) == tuple(Fraction(v) for v in x)
+        assert den > 0
+        assert den == abs(det)
+
+    def test_negative_determinant_gives_positive_den(self):
+        # det = -3, and the last pivot is -3 before the sign is normalized
+        assert fraction_det([[2, 1], [1, -1]]) == -3
+        assert solve_integer_system_scaled([[2, 1], [1, -1]], [3, 0]) == ((3, 3), 3)

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -114,6 +115,33 @@ class TestEquivalence:
 
 class TestEntryChecks:
     """Sizes, seeds and kmax are refused before any graph is scanned."""
+
+    @pytest.mark.parametrize(
+        "bad, error, rule",
+        [(True, TypeError, "must be an int, got True"), (2.0, TypeError, "must be an int, got 2.0"),
+         (-1, ValueError, "must be >= 0, got -1")],
+        ids=["bool", "float", "negative"],
+    )
+    @pytest.mark.parametrize(
+        "name, graphs",
+        [
+            ("n", lambda v: enumerate_weighted_graphs(v, 2)),
+            ("weight_max", lambda v: enumerate_weighted_graphs(3, v)),
+            ("n", lambda v: sample_weighted_graphs(v, 2, 2, 1)),
+            ("weight_max", lambda v: sample_weighted_graphs(3, v, 2, 1)),
+            ("count", lambda v: sample_weighted_graphs(3, 2, v, 1)),
+            ("seed", lambda v: sample_weighted_graphs(3, 2, 2, v)),
+            ("n_max", lambda v: family_graphs("path", v, 2)),
+            ("weight_max", lambda v: family_graphs("path", 3, v)),
+        ],
+        ids=[
+            "enumerate-n", "enumerate-weight_max", "sample-n", "sample-weight_max",
+            "sample-count", "sample-seed", "family-n_max", "family-weight_max",
+        ],
+    )
+    def test_generator_refuses_before_the_first_graph(self, name, graphs, bad, error, rule):
+        with pytest.raises(error, match=f"^{name} {re.escape(rule)}$"):
+            next(graphs(bad))
 
     @pytest.fixture
     def scanned(self, monkeypatch) -> list:
