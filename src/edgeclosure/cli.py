@@ -4,7 +4,8 @@ Subcommands: scan, check, closure, witness, cover, verify.  Every
 subcommand accepts --json for machine-readable output; the default is
 aligned text.  Exit codes: 0 all checks passed, 1 mathematical
 violation found, 2 input error, 3 resource cap exceeded, 4 internal
-error (a certificate failed its own self-check), 141 standard output
+error (a certificate failed its own self-check, or any other unexpected
+exception: a bug, not a verdict), 141 standard output
 closed by its reader before the output was written (128 + SIGPIPE, as a
 shell reports a command that `| head` cut short).
 
@@ -117,6 +118,8 @@ def _load_json(path: str):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise GraphFormatError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
+    except RecursionError as exc:
+        raise GraphFormatError(f"{path}: JSON nested too deeply") from exc
 
 
 def _load_graph(path: str) -> WeightedGraph:
@@ -228,7 +231,7 @@ def _cmd_witness(args) -> int:
 
 
 def _parse_fraction(value) -> Fraction:
-    if isinstance(value, int) and not isinstance(value, bool):
+    if type(value) is int:
         return Fraction(value)
     if isinstance(value, str):
         try:
@@ -248,7 +251,10 @@ def _cmd_cover(args) -> int:
     if not isinstance(data["y"], list):
         raise GraphFormatError("'y' must be a list of integers or 'p/q' strings")
     y = [_parse_fraction(v) for v in data["y"]]
-    inst = PathInstance(len(a), tuple(a), tuple(y))
+    try:
+        inst = PathInstance(len(a), tuple(a), tuple(y))
+    except TypeError as exc:  # a bool, float or non-number in `a`
+        raise GraphFormatError(str(exc)) from exc
     edges = extract_cover(inst)
     if args.json:
         _emit_json(
@@ -391,7 +397,7 @@ def main(argv=None) -> int:
     except (EdgeClosureError, ValueError, OverflowError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except AssertionError as exc:
+    except Exception as exc:  # a failed self-check, or any other bug
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

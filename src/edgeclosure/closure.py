@@ -39,7 +39,6 @@ from .errors import ResourceCapError, check_deadline
 from .ideals import (
     ExponentVector,
     MonomialIdeal,
-    as_exponent_vector,
     checked_mul,
     flat_index,
     generator_sums,
@@ -307,9 +306,12 @@ def verify_power_identity(
 ) -> bool:
     """Re-check the identity scale*a = slack + sum multiplicities*gens.
 
-    Every entry must be an int: no bool, float or Fraction proves it.
+    The query is checked as `power_identity_certificate` checks it: k
+    must be an int >= 1, and the ideal proper.  Every entry of the
+    certificate must be an int: no bool, float or Fraction proves it.
     """
-    return _identity_holds(ideal, as_exponent_vector(a, ideal.n), k, cert)
+    require_int(1, k=k)
+    return _identity_holds(ideal, check_query(ideal, a), k, cert)
 
 
 def _identity_holds(
@@ -322,7 +324,7 @@ def _identity_holds(
     rows = ideal.exponent_matrix()
     slack = tuple(cert.slack)
     exact = tuple(scale * v - sum(map(mul, row, mults)) for v, row in zip(vec, rows))
-    return slack == exact and all(isinstance(s, int) and not isinstance(s, bool) for s in slack)
+    return slack == exact and all(type(s) is int for s in slack)
 
 
 def scaling_membership(

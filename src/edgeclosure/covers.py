@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import DimensionMismatchError, InfeasibleInstanceError, ResourceCapError
-from .ideals import require_int
+from .ideals import as_exponent_vector, require_int
 
 MAX_COVER_EDGES = 1_000_000  # largest cover extract_cover will build
 
@@ -38,28 +38,31 @@ Edge = tuple[int, int]
 
 @dataclass(frozen=True)
 class PathInstance:
-    """Vertex exponents and a feasible edge vector on the path 1..n."""
+    """Vertex exponents and a feasible edge vector on the path 1..n.
+
+    It keeps the package's refusal contract.  `n` and `a` follow the
+    exact-int rule of `ideals`: a bool, a float or a `Fraction` raises
+    TypeError; n < 2 or a negative entry of `a` raises ValueError, `a`
+    of the wrong length DimensionMismatchError, and an entry above
+    MAX_EXPONENT OverflowError.  `y` takes ints and Fractions only,
+    else TypeError; a negative entry raises ValueError and a `y` that
+    breaks the path system InfeasibleInstanceError.  `a` is stored as a
+    tuple and `y` as Fractions.
+    """
 
     n: int
     a: tuple[int, ...]
     y: tuple[Fraction, ...]
 
     def __post_init__(self):
-        require_int(0, n=self.n)
-        if self.n < 2:
-            raise ValueError("path instances need n >= 2 vertices")
-        if len(self.a) != self.n:
-            raise DimensionMismatchError(
-                f"a has length {len(self.a)}, expected {self.n}"
-            )
+        require_int(2, n=self.n)
+        object.__setattr__(self, "a", as_exponent_vector(self.a, self.n))
         if len(self.y) != self.n - 1:
             raise DimensionMismatchError(
                 f"y has length {len(self.y)}, expected {self.n - 1}"
             )
-        if any(not isinstance(v, int) or isinstance(v, bool) or v < 0 for v in self.a):
-            raise ValueError("vertex exponents must be non-negative integers")
-        if any(not isinstance(v, (int, Fraction)) or isinstance(v, bool) for v in self.y):
-            raise ValueError("edge values must be int or Fraction")
+        if any(type(v) is not int and type(v) is not Fraction for v in self.y):
+            raise TypeError("edge values must be int or Fraction")
         object.__setattr__(self, "y", tuple(Fraction(v) for v in self.y))
         if any(v < 0 for v in self.y):
             raise ValueError("edge values must be non-negative")

@@ -8,8 +8,12 @@ heavy path on three vertices, a heavy pair of disjoint edges with no
 connection, or a fully heavy triangle.
 
 `WeightedGraph` alone validates a graph: it checks the edges in input
-order, names the offending `edges[i]`, then stores them sorted.  The
-JSON reader checks only the JSON shape.  `to_jsonable` converts package
+order, names the offending `edges[i]`, then stores them sorted.  It
+keeps the package's refusal contract: a field that is not an int
+(`type(x) is int`, so no bool, float or `Fraction`) raises TypeError,
+and an out-of-range value, a loop, a reversed or duplicate edge, or an
+edge that is not a (u, v, w) triple raises ValueError.  The JSON reader
+checks only the JSON shape.  `to_jsonable` converts package
 values to JSON.
 """
 from __future__ import annotations
@@ -20,7 +24,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import GraphFormatError
-from .ideals import ExponentVector, MonomialIdeal
+from .ideals import ExponentVector, MonomialIdeal, require_int
 
 HEAVY = 2  # least non-trivial weight
 
@@ -60,17 +64,16 @@ class WeightedGraph:
     edges: tuple[tuple[int, int, int], ...]
 
     def __post_init__(self):
-        # `type(x) is int` rejects bools; messages are built only on failure.
-        if type(self.n) is not int or self.n < 0:
-            raise ValueError(f"'n' must be a non-negative integer, got {self.n!r}")
+        require_int(0, n=self.n)
         first_index: dict[tuple[int, int], int] = {}
         for idx, edge in enumerate(self.edges):
             if not isinstance(edge, (tuple, list)) or len(edge) != 3:
                 raise ValueError(f"edges[{idx}]: must be a (u, v, w) triple, got {edge!r}")
             u, v, w = edge
+            # the rule of `require_int`; messages are built only on failure
             if not (type(u) is type(v) is type(w) is int):
                 field = next(f for f, x in zip("uvw", (u, v, w)) if type(x) is not int)
-                raise ValueError(f"edges[{idx}]: field '{field}' must be an integer")
+                raise TypeError(f"edges[{idx}]: field '{field}' must be an integer")
             if u == v:
                 raise ValueError(f"edges[{idx}]: loop ({u},{v}) not allowed")
             if u > v:
@@ -250,8 +253,9 @@ def to_jsonable(obj):
 def graph_from_jsonable(data: object) -> WeightedGraph:
     """Read the graph JSON shape; WeightedGraph checks everything else.
 
-    A shape error, or the constructor's ValueError, is raised as a
-    GraphFormatError naming the offending position `edges[i]`.
+    A shape error, or the constructor's TypeError or ValueError, is
+    raised as a GraphFormatError naming the offending position
+    `edges[i]` or the field `n`.
     """
     if not isinstance(data, dict):
         raise GraphFormatError("graph must be a JSON object")
@@ -270,5 +274,5 @@ def graph_from_jsonable(data: object) -> WeightedGraph:
         edges.append((item["u"], item["v"], item["w"]))
     try:
         return WeightedGraph(data["n"], tuple(edges))
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise GraphFormatError(str(exc)) from exc

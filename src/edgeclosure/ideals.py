@@ -3,10 +3,16 @@
 A monomial x^a is identified with its exponent vector a, a tuple of
 non-negative integers of fixed length n.  An ideal stores the minimal
 generators sorted lexicographically, so equal ideals compare and hash
-equal and all derived output is deterministic.  This module owns the
-package's one exact-int rule, for exponent vectors and for sizes,
-powers and bounds alike: only an int passes, never a bool, a float or
-a `Fraction`.
+equal and all derived output is deterministic.
+
+This module owns the package's one exact-int rule, for exponent vectors
+and for sizes, powers and bounds alike, spelled `type(x) is int`: only
+an int passes, never a bool, a float, a `Fraction` or another subclass
+of int.  Every constructor, query and verifier of the package refuses
+its arguments alike: a value of the wrong type raises TypeError, a value
+out of range ValueError or the `errors` class that names the fault
+(DimensionMismatchError for a vector of the wrong length), and an
+exponent above MAX_EXPONENT OverflowError.
 """
 from __future__ import annotations
 
@@ -30,7 +36,7 @@ def as_exponent_vector(entries: Sequence[int], n: int | None = None) -> Exponent
     if n is not None and len(vec) != n:
         raise DimensionMismatchError(f"expected length {n}, got {len(vec)}")
     for e in vec:
-        if not isinstance(e, int) or isinstance(e, bool):
+        if type(e) is not int:
             raise TypeError(f"exponent entries must be int, got {e!r}")
         if e < 0:
             raise ValueError(f"exponent entries must be >= 0, got {e}")
@@ -42,11 +48,12 @@ def as_exponent_vector(entries: Sequence[int], n: int | None = None) -> Exponent
 def require_int(least: int, **values: int) -> None:
     """Refuse each named size, power or bound that is not an int >= least.
 
-    The rule of `as_exponent_vector`: bool, float and `Fraction` are
-    refused with a TypeError, a value below `least` with a ValueError.
+    The rule of `as_exponent_vector`: anything but an int, a bool, a
+    float or a `Fraction` included, is refused with a TypeError, a value
+    below `least` with a ValueError.
     """
     for name, value in values.items():
-        if not isinstance(value, int) or isinstance(value, bool):
+        if type(value) is not int:
             raise TypeError(f"{name} must be an int, got {value!r}")
         if value < least:
             raise ValueError(f"{name} must be >= {least}, got {value}")

@@ -148,9 +148,7 @@ def _certificate_holds(
 ) -> bool:
     """`verify_certificate` for a bound already checked by `check_query`."""
     nums, den = cert.nums, cert.den
-    if len(nums) != ideal.num_generators or not all(
-        isinstance(v, int) and not isinstance(v, bool) for v in (den, *nums)
-    ):
+    if len(nums) != ideal.num_generators or not all(type(v) is int for v in (den, *nums)):
         return False
     if den < 1 or any(t < 0 for t in nums):
         return False

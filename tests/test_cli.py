@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import edgeclosure
+import edgeclosure.cli
 from edgeclosure.cli import main
 
 
@@ -505,6 +506,49 @@ class TestErrorsAndCaps:
             proc.wait()
         assert proc.returncode == 141
         assert err == b""
+
+    @pytest.mark.parametrize(
+        "command, text",
+        [
+            ("scan", '{"n": 2.5, "edges": []}'),
+            ("scan", '{"n": true, "edges": []}'),
+            ("scan", '{"n": 2, "edges": [{"u": 1, "v": 2, "w": 1.5}]}'),
+            ("scan", '{"n": 2, "edges": [{"u": 1, "v": 2, "w": true}]}'),
+            ("cover", '{"a": [true, 2, 1], "y": [1, 1]}'),
+            ("cover", '{"a": [1.5, 2, 1], "y": [1, 1]}'),
+            ("cover", '{"a": [18446744073709551616, 2, 1], "y": [1, 1]}'),
+            ("scan", "[" * 100_000),
+            ("cover", "[" * 100_000),
+        ],
+        ids=[
+            "float-n", "bool-n", "float-w", "bool-w", "bool-a", "float-a",
+            "a-beyond-64-bits", "nested-graph", "nested-cover",
+        ],
+    )
+    def test_malformed_input_exits_two(self, tmp_path, capsys, command, text):
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        assert main([command, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("input error:")
+        assert "Traceback" not in captured.err
+
+    def test_nested_json_names_the_fault(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        assert main(["scan", str(path)]) == 2
+        assert capsys.readouterr().err == f"input error: {path}: JSON nested too deeply\n"
+
+    def test_unexpected_exception_exits_four(self, p3_file, capsys, monkeypatch):
+        def broken(args):
+            raise RuntimeError("broken command")
+
+        monkeypatch.setattr(edgeclosure.cli, "_cmd_scan", broken)
+        assert main(["scan", p3_file]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "internal error: broken command\n"
 
     def test_failed_self_check_exits_four(self, capsys, monkeypatch):
         monkeypatch.setattr(

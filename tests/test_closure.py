@@ -649,6 +649,29 @@ class TestPowerIdentity:
         cert = PowerIdentityCertificate(scale, multiplicities, slack)
         assert not verify_power_identity(ideal, a, 1, cert)
 
+    def test_verify_refuses_a_bool_power(self):
+        # True once passed as k = 1
+        cert = power_identity_certificate(PAIR, (1, 4, 1), 1)
+        with pytest.raises(TypeError, match=r"^k must be an int, got True$"):
+            verify_power_identity(PAIR, (1, 4, 1), True, cert)
+
+    def test_verify_refuses_power_zero(self):
+        # 0 * a = 0 + no generators is an identity, but of no power
+        cert = PowerIdentityCertificate(1, (0, 0), (1, 4, 1))
+        with pytest.raises(ValueError, match=r"^k must be >= 1, got 0$"):
+            verify_power_identity(PAIR, (1, 4, 1), 0, cert)
+
+    @pytest.mark.parametrize(
+        "generators, error",
+        [((), ZeroIdealError), (((0, 0),), UnitIdealError)],
+        ids=["zero-ideal", "unit-ideal"],
+    )
+    def test_verify_refuses_an_ideal_with_no_program(self, generators, error):
+        # as verify_certificate and power_identity_certificate do
+        cert = PowerIdentityCertificate(1, (0,) * len(generators), (1, 1))
+        with pytest.raises(error):
+            verify_power_identity(MonomialIdeal(2, generators), (1, 1), 1, cert)
+
     def test_verify_accepts_a_list_slack(self):
         # (5, 5) = [5, 4] + x2 is a valid identity for k = 1
         cert = PowerIdentityCertificate(1, (1, 0), [5, 4])

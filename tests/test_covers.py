@@ -99,7 +99,7 @@ class TestValidation:
         ids=["bool-a", "bool-a-zero", "float-y", "integral-float-y", "bool-y", "bool-y-zero"],
     )
     def test_inexact_entries_rejected(self, a, y):
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             PathInstance(len(a), a, y)
 
     def test_non_int_vertex_count_refused(self):

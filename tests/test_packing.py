@@ -13,7 +13,12 @@ from hypothesis import strategies as st
 
 import edgeclosure.packing
 
-from edgeclosure.closure import power_identity_certificate, scaling_membership
+from edgeclosure.closure import (
+    PowerIdentityCertificate,
+    power_identity_certificate,
+    scaling_membership,
+    verify_power_identity,
+)
 from edgeclosure.errors import ResourceCapError, UnitIdealError, ZeroIdealError
 from edgeclosure.graphs import WeightedGraph, edge_ideal
 from edgeclosure.ideals import MonomialIdeal, member, minimalize, power
@@ -435,8 +440,16 @@ class TestQueryChecks:
             fractional_packing,
             lambda ideal, a: scaling_membership(ideal, a, 1),
             lambda ideal, a: scaling_membership(ideal, a, 1, s_max=3),
+            lambda ideal, a: power_identity_certificate(ideal, a, 1),
+            # 2 * (1, 2, 1) = (2, 2, 0) + (0, 2, 2), with no slack
+            lambda ideal, a: verify_power_identity(
+                ideal, a, 1, PowerIdentityCertificate(2, (1, 1), (0, 0, 0))
+            ),
         ],
-        ids=["integer", "fractional", "scaling", "scaling-given-bound"],
+        ids=[
+            "integer", "fractional", "scaling", "scaling-given-bound",
+            "power-identity", "verify-power-identity",
+        ],
     )
     def test_query_is_validated_once(self, monkeypatch, oracle):
         validated = []
@@ -446,8 +459,8 @@ class TestQueryChecks:
             validated.append(args)
             return check(*args)
 
+        # every entry checks its query through `packing.check_query`
         monkeypatch.setattr(edgeclosure.packing, "as_exponent_vector", counting)
-        monkeypatch.setattr(edgeclosure.closure, "as_exponent_vector", counting)
         # x^(1,2,1) lies in the closure of I, not in I; its square lies in I^2
         oracle(MonomialIdeal(3, [(2, 2, 0), (0, 2, 2)]), (1, 2, 1))
         assert len(validated) == 1
