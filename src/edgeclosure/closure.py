@@ -307,8 +307,9 @@ def verify_power_identity(
     """Re-check the identity scale*a = slack + sum multiplicities*gens.
 
     The query is checked as `power_identity_certificate` checks it: k
-    must be an int >= 1, and the ideal proper.  Every entry of the
-    certificate must be an int: no bool, float or Fraction proves it.
+    must be an int >= 1, and the ideal proper.  Multiplicities and slack
+    must be tuples or lists, and every entry of the certificate an int:
+    no bool, float or Fraction proves it.
     """
     require_int(1, k=k)
     return _identity_holds(ideal, check_query(ideal, a), k, cert)
@@ -318,13 +319,14 @@ def _identity_holds(
     ideal: MonomialIdeal, vec: ExponentVector, k: int, cert: PowerIdentityCertificate
 ) -> bool:
     """Its multiplicities over `scale` are a packing of a of value k, checked as one."""
-    scale, mults = cert.scale, cert.multiplicities
+    scale, mults, slack = cert.scale, cert.multiplicities, cert.slack
     if not _certificate_holds(ideal, vec, MembershipCertificate(mults, scale)) or sum(mults) != scale * k:
         return False
+    if not isinstance(slack, (tuple, list)):
+        return False
     rows = ideal.exponent_matrix()
-    slack = tuple(cert.slack)
     exact = tuple(scale * v - sum(map(mul, row, mults)) for v, row in zip(vec, rows))
-    return slack == exact and all(type(s) is int for s in slack)
+    return tuple(slack) == exact and all(type(s) is int for s in slack)
 
 
 def scaling_membership(
@@ -354,18 +356,19 @@ def scaling_membership(
     vec = check_query(ideal, a)
     if s_max is not None:
         require_int(1, s_max=s_max)
-    value = checked_lp(ideal, vec).value
+    lp = checked_lp(ideal, vec)
+    holds = sum(lp.nums) >= k * lp.den  # LP(a) >= k
     if s_max is None:
-        s_max = _power_identity(ideal, vec, k).scale if value >= k else 1
+        s_max = _power_identity(ideal, vec, k).scale if holds else 1
         if s_max > 64:
             raise ResourceCapError(
                 f"default scaling bound {s_max} exceeds the cap of 64"
             )
-    if value < k:
+    if not holds:
         check_deadline(deadline)
         return ScalingResult(member=False, s=s_max)
     for s in range(1, s_max + 1):
         scaled = tuple(checked_mul(s, v) for v in vec)
-        if checked_ip(ideal, scaled, deadline).value >= s * k:
+        if sum(checked_ip(ideal, scaled, deadline).nums) >= s * k:  # den is 1
             return ScalingResult(member=True, s=s)
     return ScalingResult(member=False, s=s_max)

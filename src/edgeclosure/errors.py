@@ -1,4 +1,8 @@
-"""Exception hierarchy shared across the package, and the wall-clock check."""
+"""Exception hierarchy shared across the package, and the wall-clock check.
+
+The errors of a wrong argument value also derive from ValueError, so a
+caller that catches ValueError for a wrong value catches them too.
+"""
 from __future__ import annotations
 
 import time
@@ -8,15 +12,15 @@ class EdgeClosureError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class DimensionMismatchError(EdgeClosureError):
+class DimensionMismatchError(EdgeClosureError, ValueError):
     """Vectors or certificates with incompatible lengths."""
 
 
-class ZeroIdealError(EdgeClosureError):
+class ZeroIdealError(EdgeClosureError, ValueError):
     """Operation requires a nonzero ideal (at least one generator)."""
 
 
-class UnitIdealError(EdgeClosureError):
+class UnitIdealError(EdgeClosureError, ValueError):
     """Operation rejects the unit ideal (zero-vector generator)."""
 
 
@@ -24,7 +28,7 @@ class GraphFormatError(EdgeClosureError):
     """Invalid graph JSON; the message carries the offending position."""
 
 
-class InfeasibleInstanceError(EdgeClosureError):
+class InfeasibleInstanceError(EdgeClosureError, ValueError):
     """Path-cover instance violates its inequality system."""
 
 

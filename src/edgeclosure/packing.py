@@ -136,9 +136,9 @@ def verify_certificate(
     """Re-check that the certificate is a feasible packing for (ideal, bound).
 
     Its value and integrality are read off nums and den, so feasibility
-    is all there is to check, in integers: one numerator per generator,
-    den >= 1, nums >= 0 and M nums <= a den.  Every entry must be an
-    int: no bool, float or Fraction proves it.
+    is all there is to check, in integers: nums a tuple or list of one
+    numerator per generator, den >= 1, nums >= 0 and M nums <= a den.
+    Every entry must be an int: no bool, float or Fraction proves it.
     """
     return _certificate_holds(ideal, check_query(ideal, bound), cert)
 
@@ -148,7 +148,9 @@ def _certificate_holds(
 ) -> bool:
     """`verify_certificate` for a bound already checked by `check_query`."""
     nums, den = cert.nums, cert.den
-    if len(nums) != ideal.num_generators or not all(type(v) is int for v in (den, *nums)):
+    if not isinstance(nums, (tuple, list)) or len(nums) != ideal.num_generators:
+        return False
+    if not all(type(v) is int for v in (den, *nums)):
         return False
     if den < 1 or any(t < 0 for t in nums):
         return False

@@ -9,6 +9,12 @@ import pytest
 import edgeclosure
 import edgeclosure.cli
 from edgeclosure.cli import main
+from edgeclosure.errors import (
+    DimensionMismatchError,
+    InfeasibleInstanceError,
+    UnitIdealError,
+    ZeroIdealError,
+)
 
 
 @pytest.fixture
@@ -319,6 +325,20 @@ class TestVerify:
 
 
 class TestErrorsAndCaps:
+    @pytest.mark.parametrize(
+        "error", [DimensionMismatchError, ZeroIdealError, UnitIdealError, InfeasibleInstanceError]
+    )
+    def test_value_error_of_the_package_exits_two(self, tmp_path, capsys, monkeypatch, error):
+        # a ValueError as well, and an input error, not a bug
+        def refuse(inst):
+            raise error("refused")
+
+        monkeypatch.setattr(edgeclosure.cli, "extract_cover", refuse)
+        inst = tmp_path / "inst.json"
+        inst.write_text(json.dumps({"a": [1, 2, 1], "y": ["1", "1"]}))
+        assert main(["cover", str(inst)]) == 2
+        assert capsys.readouterr().err == "input error: refused\n"
+
     def test_invalid_json_exits_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

@@ -21,6 +21,13 @@ from edgeclosure.closure import (
     verify_power_identity,
 )
 from edgeclosure.covers import PathInstance
+from edgeclosure.errors import (
+    DimensionMismatchError,
+    EdgeClosureError,
+    InfeasibleInstanceError,
+    UnitIdealError,
+    ZeroIdealError,
+)
 from edgeclosure.graphs import WeightedGraph
 from edgeclosure.ideals import MonomialIdeal, member, minimalize, power
 from edgeclosure.packing import (
@@ -139,6 +146,38 @@ def test_certificate_field_that_is_not_an_int_proves_nothing(verify, exact):
     inexact = [float(exact), Fraction(exact)] + ([bool(exact)] if exact in (0, 1) else [])
     for value in inexact:
         assert verify(value) is False
+
+
+@pytest.mark.parametrize(
+    "verify",
+    [
+        lambda: verify_certificate(PAIR, (1, 2, 1), MembershipCertificate(None, 2)),
+        lambda: verify_power_identity(
+            PAIR, (1, 2, 1), 1, PowerIdentityCertificate(2, (1, 1), None)
+        ),
+        lambda: verify_power_identity(
+            PAIR, (1, 2, 1), 1, PowerIdentityCertificate(2, None, (0, 0, 0))
+        ),
+    ],
+    ids=["verify_certificate.nums", "verify_power_identity.slack",
+         "verify_power_identity.multiplicities"],
+)
+def test_certificate_field_that_is_not_a_sequence_proves_nothing(verify):
+    # answered False by the check, not a TypeError from inside it
+    assert verify() is False
+
+
+@pytest.mark.parametrize(
+    "error", [DimensionMismatchError, ZeroIdealError, UnitIdealError, InfeasibleInstanceError]
+)
+def test_value_errors_of_the_package_are_value_errors(error):
+    assert error.__mro__ == (error, EdgeClosureError, ValueError, Exception, BaseException, object)
+
+
+def test_wrong_path_length_is_caught_as_a_value_error():
+    # a has 2 entries for n = 3
+    with pytest.raises(ValueError):
+        PathInstance(3, (1, 1), (1, 1))
 
 
 def test_no_second_spelling_of_the_rule():

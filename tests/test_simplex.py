@@ -88,6 +88,51 @@ def box_lps(draw):
     return rows, rhs
 
 
+# Ratio ties whose tie-break changes the returned vertex are rare in
+# random draws (about one LP in 15,000, and far fewer once pivots have
+# reordered the basis, as in the last one), so four are pinned, each with
+# its raw, unreduced (x, den), as a full slack tableau returns it too.
+TIES = [
+    (([[4, 0, 2], [4, 3, 3], [1, 3, 0]], [11, 11, 11]), ((0, 0, 11), 3)),
+    (
+        ([[2, 3, 3], [0, 0, 0], [3, 2, 2], [3, 1, 3], [0, 0, 0]], [9, 0, 10, 10, 0]),
+        ((12, 7, 0), 5),
+    ),
+    (
+        (
+            [[2, 1, 1, 1], [0, 0, 4, 0], [2, 0, 2, 3], [0, 0, 4, 0], [0, 0, 4, 0]],
+            [2, 0, 2, 0, 0],
+        ),
+        ((0, 2, 0, 0), 1),
+    ),
+    (([[1, 4, 2, 4], [4, 2, 3, 1], [4, 2, 3, 1]], [6, 3, 3]), ((6, 0, 0, 21), 15)),
+]
+
+# Two branch-and-bound children of a slow seed-1 `certificates` query: the
+# exponent matrix of (0,0,4,3,4), (1,0,1,4,3), (1,0,3,4,0), (2,0,2,1,4),
+# (4,4,0,1,3), (4,4,2,0,3) under a = (8, 8, 5, 10, 10), with three and
+# four unit bound rows, and their raw (x, den), the first not in lowest
+# terms.
+EXPONENTS = [
+    [0, 1, 1, 2, 4, 4],
+    [0, 0, 0, 0, 4, 4],
+    [4, 1, 3, 2, 0, 2],
+    [3, 4, 4, 1, 1, 0],
+    [4, 3, 0, 4, 3, 3],
+]
+UNITS = [[int(t == i) for t in range(6)] for i in range(6)]
+BOX_CHILDREN = [
+    (
+        (EXPONENTS + [UNITS[0], UNITS[3], UNITS[4]], [8, 8, 5, 10, 10, 0, 0, 0]),
+        ((0, 110, 10, 0, 0, 50), 48),
+    ),
+    (
+        (EXPONENTS + [UNITS[0], UNITS[1], UNITS[3], UNITS[4]], [8, 8, 5, 10, 10, 0, 2, 0, 0]),
+        ((0, 18, 1, 0, 0, 12), 9),
+    ),
+]
+
+
 class TestSimplex:
     def test_two_variable_polygon(self):
         # max y1 + y2 with 2y1 <= 1, 2y1 + 2y2 <= 4, 2y2 <= 1
@@ -121,21 +166,21 @@ class TestSimplex:
 
     @settings(max_examples=400, deadline=None)
     @given(packing_lps())
-    # Ratio ties whose tie-break changes the returned vertex are rare in
-    # random draws (about one LP in 15,000, and far fewer once pivots
-    # have reordered the basis, as in the last example), so four are
-    # pinned here.
-    @example(([[4, 0, 2], [4, 3, 3], [1, 3, 0]], [11, 11, 11]))
-    @example(([[2, 3, 3], [0, 0, 0], [3, 2, 2], [3, 1, 3], [0, 0, 0]], [9, 0, 10, 10, 0]))
-    @example(
-        (
-            [[2, 1, 1, 1], [0, 0, 4, 0], [2, 0, 2, 3], [0, 0, 4, 0], [0, 0, 4, 0]],
-            [2, 0, 2, 0, 0],
-        )
-    )
-    @example(([[1, 4, 2, 4], [4, 2, 3, 1], [4, 2, 3, 1]], [6, 3, 3]))
+    @example(TIES[0][0])
+    @example(TIES[1][0])
+    @example(TIES[2][0])
+    @example(TIES[3][0])
     def test_matches_fraction_tableau_on_packing_lps(self, lp):
         assert _solve(simplex_fractions, *lp) == _solve(simplex_maximize_fractions, *lp)
+
+    @pytest.mark.parametrize(
+        "lp, raw", TIES + BOX_CHILDREN, ids=["tie-0", "tie-1", "tie-2", "tie-3", "box-3", "box-4"]
+    )
+    def test_raw_output_pinned(self, lp, raw):
+        # The exact numerators and denominator, unreduced: a pivot sequence
+        # that reaches the same vertex over another denominator fails here,
+        # where the Fraction comparisons pass.
+        assert simplex_maximize(*lp) == raw
 
     @settings(max_examples=300, deadline=None)
     @given(box_lps())
