@@ -15,12 +15,18 @@ neighbours at flat offsets), in the narrowest of int16, int32 and int64
 with two bits to spare, or in Python integers when none is wide enough,
 so the sweep is exact on every input.  Closedness is decided by looking
 the minimal elements up among the sums of k generators, each kept as its
-row-major flat index in the same box: no sum of at most k generators
-leaves the box, so adding indices adds vectors.  numpy is imported by
-the sweep itself, on its first call: the certificates below, the packing
-oracles and the pattern scan never load it.  The wall-clock deadline is
-checked inside the dual enumeration, before each functional of the sweep
-and before each round of the k-sum build.
+row-major flat index in a box that holds every sum of at most k
+generators, so adding indices adds vectors.  The minimal elements stay
+the rows of the sweep's integer array: their flat indices are one
+product with the box strides, and tuples are built only for the
+generators asked for or the witness named.  A probe of the powers
+k = 1..kmax is one job: it carries the sums from each power to the next,
+one generator added per power, in the box of the last power the box cap
+lets it sweep.  numpy is imported by the sweep itself, on its first
+call: the certificates below, the packing oracles and the pattern scan
+never load it.  The wall-clock deadline is checked inside the dual
+enumeration, before each functional of the sweep and before each round
+of the k-sum build.
 
 Single queries get a certificate instead: a power identity rescales the
 optimal fractional packing of a to total k and clears its denominators,
@@ -31,16 +37,18 @@ refuted every query whose fractional value is below k.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from operator import mul
 from typing import Sequence
 
 from .errors import ResourceCapError, check_deadline
 from .ideals import (
+    MAX_EXPONENT,
     ExponentVector,
     MonomialIdeal,
+    box_strides,
     checked_mul,
-    flat_index,
     generator_sums,
     power_box,
     require_int,
@@ -106,6 +114,18 @@ def closure_generators(
 ) -> tuple[ExponentVector, ...]:
     """Minimal generators of the integral closure of I^k, sorted lex."""
     require_int(1, k=k)
+    points = _minimal_points(ideal, k, box_cap, deadline)
+    strides = box_strides([b + 1 for b in power_box(ideal, k)])
+    return _lex_sorted(points, _flat_indices(points, strides, box_cap))
+
+
+def _minimal_points(
+    ideal: MonomialIdeal, k: int, box_cap: int, deadline: float | None
+):
+    """The minimal points of the closure of I^k, swept in the box of I^k.
+
+    They are the rows of an int64 array, in the sweep's order.
+    """
     require_proper(ideal)
     shape = tuple(b + 1 for b in power_box(ideal, k))
     volume = math.prod(shape)
@@ -115,6 +135,24 @@ def closure_generators(
         )
     functionals = dual_functionals(ideal, deadline=deadline)
     return _sweep(shape, functionals, k, deadline)
+
+
+def _flat_indices(points, strides: tuple[int, ...], box_cap: int):
+    """The flat indices of the rows of `points` with a box's strides.
+
+    One integer product: every box indexed here holds at most `box_cap`
+    points, so int64 holds each index while the cap is below 2**62, and
+    Python integers (`object`) take over beyond, as in `_sweep_width`.
+    """
+    import numpy as np
+
+    dtype = np.int64 if box_cap < 2**62 else object
+    return points.astype(dtype, copy=False) @ np.array(strides, dtype)
+
+
+def _lex_sorted(points, indices) -> tuple[ExponentVector, ...]:
+    """The rows of `points` as tuples, sorted lex: by their flat indices."""
+    return tuple(map(tuple, points[indices.argsort()].tolist()))
 
 
 def _sweep_width(
@@ -146,7 +184,10 @@ def _sweep(
     k: int,
     deadline: float | None,
 ) -> tuple[ExponentVector, ...]:
-    """Minimal points of the box where every a.w >= k*s, sorted lex.
+    """Minimal points of the box where every a.w >= k*s.
+
+    They are the rows of an int64 array, in the row-major order of their
+    columns; callers that want them sorted sort by flat index.
 
     The longest axis is the column axis; the grid is spanned by the
     other axes of length > 1.  A column's height, the least t >= 0 where
@@ -206,7 +247,7 @@ def _sweep(
     for j, b, step in zip(axes, grid, steps):
         points[:, j] = rows // step % b
     points[:, col] = flat[rows]
-    return tuple(sorted(map(tuple, points.tolist())))
+    return points
 
 
 def is_integrally_closed(
@@ -223,19 +264,11 @@ def is_integrally_closed(
     in I^k.  On failure the witness is the lexicographically smallest
     minimal generator outside I^k.
     """
-    mins = closure_generators(ideal, k, box_cap=box_cap, deadline=deadline)
-    # A minimal closure generator a lies in I^k iff it is a sum of k
-    # generators: a k-sum dividing a lies in the closure too, so by the
-    # minimality of a it equals a.  The sweep's box holds every k-sum,
-    # so both sides are compared by their flat index in it.
-    sums, strides = generator_sums(ideal, k, deadline=deadline)
-    witness = next((a for a in mins if flat_index(a, strides) not in sums), None)
-    return ClosureReport(
-        k=k,
-        closed=witness is None,
-        witness=witness,
-        closure_generators=mins if include_generators else None,
-    )
+    require_int(1, k=k)
+    points = _minimal_points(ideal, k, box_cap, deadline)
+    rounds, strides = generator_sums(ideal, k, deadline=deadline)
+    sums = deque(rounds, maxlen=1).pop()
+    return _report(k, points, _flat_indices(points, strides, box_cap), sums, include_generators)
 
 
 def is_normal_up_to(
@@ -246,21 +279,73 @@ def is_normal_up_to(
     box_cap: int = DEFAULT_BOX_CAP,
     deadline: float | None = None,
 ) -> list[ClosureReport]:
-    """Probe closedness of I^k for k = 1..kmax, stopping at a failure."""
+    """Probe closedness of I^k for k = 1..kmax, stopping at a failure.
+
+    Each power is decided as by `is_integrally_closed`, but as one job:
+    the sums of k generators are carried from power to power, one round
+    of `generator_sums` per power, in the box of `_last_power`, the last
+    power the probe can sweep.  Every box swept lies inside that box, so
+    the flat indices there compare each power's minimal points with its
+    sums.  A power past it fails its own sweep on the box cap, as it
+    would alone, and no power beyond the probe's reach is evaluated, so
+    kmax may be any int.
+    """
     require_int(1, kmax=kmax)
+    require_proper(ideal)
+    rounds, strides = generator_sums(
+        ideal, _last_power(ideal, kmax, box_cap), deadline=deadline
+    )
     reports = []
     for k in range(1, kmax + 1):
-        report = is_integrally_closed(
-            ideal,
-            k,
-            include_generators=include_generators,
-            box_cap=box_cap,
-            deadline=deadline,
-        )
-        reports.append(report)
-        if not report.closed:
+        points = _minimal_points(ideal, k, box_cap, deadline)
+        indices = _flat_indices(points, strides, box_cap)
+        reports.append(_report(k, points, indices, next(rounds), include_generators))
+        if not reports[-1].closed:
             break
     return reports
+
+
+def _last_power(ideal: MonomialIdeal, kmax: int, box_cap: int) -> int:
+    """The largest k <= kmax whose box fits box_cap and 64 bits, or 1.
+
+    The box of I^k grows with k, so a binary search finds it, and its
+    entries k * max entry stay within MAX_EXPONENT, the bound of
+    `power_box`.  It is 1 also when the box of I itself is over the
+    cap, whose sweep then raises.
+    """
+    tops = power_box(ideal, 1)
+    lo, hi = 1, min(kmax, MAX_EXPONENT // max(tops))
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if math.prod(mid * t + 1 for t in tops) <= box_cap:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
+def _report(
+    k: int, points, indices, sums: set[int], include_generators: bool
+) -> ClosureReport:
+    """The verdict on I^k from its minimal closure points and its k-sums.
+
+    A minimal closure generator a lies in I^k iff it is a sum of k
+    generators: a k-sum dividing a lies in the closure too, so by the
+    minimality of a it equals a.  Both sides are flat indices in one box,
+    so each point is one set lookup, and the smallest index missing is
+    the lex-smallest point outside I^k.
+    """
+    flat = indices.tolist()
+    witness = None
+    if not sums.issuperset(flat):
+        row = flat.index(min(i for i in flat if i not in sums))
+        witness = tuple(points[row].tolist())
+    return ClosureReport(
+        k=k,
+        closed=witness is None,
+        witness=witness,
+        closure_generators=_lex_sorted(points, indices) if include_generators else None,
+    )
 
 
 def power_identity_certificate(

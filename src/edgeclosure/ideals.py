@@ -16,9 +16,10 @@ exponent above MAX_EXPONENT OverflowError.
 """
 from __future__ import annotations
 
+from collections import deque
 from itertools import accumulate
 from operator import le, mul
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DimensionMismatchError, check_deadline
 
@@ -82,7 +83,8 @@ class MonomialIdeal:
     is the zero ideal; the single zero vector is the unit ideal.
 
     `_cache` holds values derived from the generators, such as the
-    exponent matrix; it takes no part in equality.
+    exponent matrix and the largest entry per coordinate; it takes no
+    part in equality.
     """
 
     __slots__ = ("n", "generators", "_cache")
@@ -179,9 +181,13 @@ def power_box(ideal: MonomialIdeal, k: int) -> tuple[int, ...]:
     """Componentwise bound k * max generator entry, per coordinate.
 
     Every sum of at most k generators lies in the box from 0 to this
-    bound.  Entries beyond 64-bit range raise `OverflowError`.
+    bound.  Entries beyond 64-bit range raise `OverflowError`.  The
+    largest entries are found once per ideal.
     """
-    return tuple(checked_mul(k, m) for m in map(max, zip(*ideal.generators)))
+    tops = ideal._cache.get("max_entries")
+    if tops is None:
+        tops = ideal._cache["max_entries"] = tuple(map(max, zip(*ideal.generators)))
+    return tuple(checked_mul(k, m) for m in tops)
 
 
 def generator_sums(
@@ -189,35 +195,43 @@ def generator_sums(
     k: int,
     *,
     deadline: float | None = None,
-) -> tuple[set[int], tuple[int, ...]]:
-    """The distinct sums of k generators, repetition allowed, k >= 1.
+) -> tuple[Iterator[set[int]], tuple[int, ...]]:
+    """The distinct sums of j generators, repetition allowed, for j = 1..k.
 
-    Returns the sums as flat indices in the box of `power_box(ideal, k)`
+    Returns an iterator over the k sets of sums, j = 1 first, each set
+    holding its sums as flat indices in the box of `power_box(ideal, k)`,
     together with that box's row-major strides.  No sum of at most k
     generators leaves the box, so a sum of indices is the index of the
-    sum and each new sum costs one integer addition.  `deadline` is
-    checked before each of the k - 1 rounds of adding one more
-    generator.
+    sum: the sums of j + 1 generators are those of j with one generator
+    added, one integer addition each, and every set is in the same
+    encoding, so a caller probing I^j for j = 1, 2, ... carries the sums
+    from power to power.  A round runs when its set is drawn, and
+    `deadline` is checked before each of the k - 1 rounds.
     """
     require_int(1, k=k)
     strides = box_strides([b + 1 for b in power_box(ideal, k)])
     gens = {flat_index(g, strides) for g in ideal.generators}
-    sums = gens
-    for _ in range(k - 1):
-        check_deadline(deadline)
-        sums = {s + g for s in sums for g in gens}
-    return sums, strides
+
+    def rounds() -> Iterator[set[int]]:
+        sums = gens
+        yield sums
+        for _ in range(k - 1):
+            check_deadline(deadline)
+            sums = {s + g for s in sums for g in gens}
+            yield sums
+
+    return rounds(), strides
 
 
 def power(ideal: MonomialIdeal, k: int) -> MonomialIdeal:
     """Minimal generators of the k-th power, k >= 1.
 
-    The k-sums come from `generator_sums` as flat indices and are
-    decoded axis by axis.
+    The k-sums, the last set of `generator_sums`, are decoded from their
+    flat indices axis by axis.
     """
-    indices, strides = generator_sums(ideal, k)
+    rounds, strides = generator_sums(ideal, k)
     sums = []
-    for index in indices:
+    for index in deque(rounds, maxlen=1).pop():
         a = []
         for stride in strides:
             entry, index = divmod(index, stride)

@@ -81,6 +81,26 @@ class TestCheck:
         ]
         assert data["normal_up_to_kmax"] is False
 
+    def test_largest_kmax_stops_at_the_first_open_power(self, p3_file, capsys):
+        # no power past the one probed is evaluated, so 2**63 - 1 cannot overflow
+        assert main(["check", p3_file, "--kmax", str(2**63 - 1), "--json"]) == 1
+        data = json.loads(capsys.readouterr().out)
+        assert data["kmax"] == 2**63 - 1
+        assert data["reports"] == [{"k": 1, "closed": False, "witness": [1, 2, 1]}]
+
+    def test_largest_kmax_stops_at_the_box_cap(self, tmp_path, capsys, monkeypatch):
+        # unit P3: every power is closed until the box of I^215 passes the cap
+        monkeypatch.delenv("EDGECLOSURE_BOX_CAP", raising=False)
+        path = tmp_path / "unit-p3.json"
+        path.write_text(json.dumps(
+            {"n": 3, "edges": [{"u": 1, "v": 2, "w": 1}, {"u": 2, "v": 3, "w": 1}]}
+        ))
+        assert main(["check", str(path), "--kmax", str(2**63 - 1)]) == 3
+        assert capsys.readouterr().err == (
+            "resource cap exceeded: lattice box has 10077696 points, "
+            "exceeding the cap of 10000000\n"
+        )
+
     def test_clean_cycle(self, c6_file, capsys):
         assert main(["check", c6_file, "--kmax", "3", "--json"]) == 0
         data = json.loads(capsys.readouterr().out)

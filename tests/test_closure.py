@@ -7,6 +7,7 @@ import tracemalloc
 from fractions import Fraction
 from itertools import combinations, product
 
+import numpy as np
 import pytest
 
 import edgeclosure.closure
@@ -48,6 +49,11 @@ from oracles import (
 PAIR = MonomialIdeal(3, [(2, 2, 0), (0, 2, 2)])
 TRIANGLE = MonomialIdeal(3, [(2, 2, 0), (0, 2, 2), (2, 0, 2)])
 UNITS = ((0, 1), (1, 0))  # the generators x2, x1
+
+
+def swept(shape, functionals, k):
+    """The rows `_sweep` returns, as the sorted tuples of the oracle."""
+    return tuple(sorted(map(tuple, _sweep(shape, functionals, k, None).tolist())))
 
 
 @pytest.mark.parametrize(
@@ -124,6 +130,15 @@ class TestClosureGenerators:
             g + pad for g in closure_generators(PAIR, 1)
         )
 
+    def test_flat_indices_beyond_int64(self):
+        # strides (2**62 + 1, 1): the index of (2, 0) is 2**63 + 2, which
+        # int64 would wrap to a negative number and sort first
+        ideal = MonomialIdeal(2, [(2, 0), (0, 2**62)])
+        mins = ((0, 2**62), (1, 2**61), (2, 0))
+        assert closure_generators(ideal, 1, box_cap=2**64) == mins
+        report = is_integrally_closed(ideal, 1, include_generators=True, box_cap=2**64)
+        assert (report.witness, report.closure_generators) == ((1, 2**61), mins)
+
     def test_agrees_with_bruteforce_oracle(self, rng):
         for _ in range(25):
             ideal = random_proper_ideal(rng, n_max=3, m_max=3, entry_max=3)
@@ -144,14 +159,14 @@ class TestClosureGenerators:
             box = power_box(ideal, k)
             shape = tuple(b + 1 for b in box)
             fs = dual_functionals(ideal)
-            assert _sweep(shape, fs, k, None) == sweep_point_by_point(
+            assert swept(shape, fs, k) == sweep_point_by_point(
                 shape, fs, k, None
             )
         # a.w reaches 6 * 2**62 > 2**63 in this box: an int64 sweep would
         # wrap and report (2, 3) and (3, 2) as spurious minimal points.
         wide = [((2**62, 2**62), 1)]
         assert sweep_point_by_point((4, 4), wide, 1, None) == ((0, 1), (1, 0))
-        assert _sweep((4, 4), wide, 1, None) == ((0, 1), (1, 0))
+        assert swept((4, 4), wide, 1) == ((0, 1), (1, 0))
 
     def test_sweep_column_cases_agree(self):
         cases = [
@@ -191,11 +206,11 @@ class TestClosureGenerators:
             ((3, 5, 4), [((2**62, 1, 0), 2**62), ((0, 2, 2**62), 2**62)], 1),
         ]
         for shape, fs, k in cases:
-            assert _sweep(shape, fs, k, None) == sweep_point_by_point(
+            assert swept(shape, fs, k) == sweep_point_by_point(
                 shape, fs, k, None
             ), (shape, fs, k)
-        assert _sweep((3, 4), cases[4][1], 1, None) == ((1, 2), (2, 1))
-        assert _sweep((7, 3, 3), cases[1][1], 2, None) == (
+        assert swept((3, 4), cases[4][1], 1) == ((1, 2), (2, 1))
+        assert swept((7, 3, 3), cases[1][1], 2) == (
             (2, 2, 0), (3, 0, 2), (3, 1, 1), (4, 0, 1), (4, 1, 0), (6, 0, 0)
         )
 
@@ -209,7 +224,7 @@ class TestClosureGenerators:
             k = rng.randint(1, 2)
             shape = tuple(b + 1 for b in power_box(ideal, k))
             fs = dual_functionals(ideal)
-            assert _sweep(shape, fs, k, None) == sweep_point_by_point(
+            assert swept(shape, fs, k) == sweep_point_by_point(
                 shape, fs, k, None
             ), (ideal.generators, k)
 
@@ -219,7 +234,7 @@ class TestClosureGenerators:
             k = rng.randint(1, 3)
             shape = tuple(b + 1 for b in power_box(ideal, k))
             fs = dual_functionals(ideal)
-            assert _sweep(shape, fs, k, None) == sweep_point_by_point(
+            assert swept(shape, fs, k) == sweep_point_by_point(
                 shape, fs, k, None
             ), (ideal.generators, k)
 
@@ -270,7 +285,7 @@ class TestClosureGenerators:
         for shape, fs, k, width in sweep_width_cases():
             col = max(range(len(shape)), key=shape.__getitem__)
             assert _sweep_width(shape, fs, k, col) == width, (shape, fs, k)
-            got = _sweep(shape, fs, k, None)
+            got = swept(shape, fs, k)
             if math.prod(shape) <= 2**15:
                 assert got == sweep_point_by_point(shape, fs, k, None), (shape, fs, k)
             else:
@@ -319,12 +334,24 @@ class TestClosureGenerators:
             closure_generators(ideal, 1, deadline=past)
 
 
+def no_points(swept):
+    """A stand-in for `_sweep` that finds no minimal point and logs each k."""
+    def sweep(shape, functionals, k, deadline):
+        swept.append(k)
+        return np.zeros((0, len(shape)), np.int64)
+    return sweep
+
+
 class TestIsIntegrallyClosed:
     def test_deadline_inside_the_sum_build(self, monkeypatch):
-        monkeypatch.setattr(edgeclosure.closure, "closure_generators", lambda *a, **kw: ())
+        ideal = MonomialIdeal(3, PAIR.generators)
+        dual_functionals(ideal)  # cached duals skip their check
+        swept = []
+        monkeypatch.setattr(edgeclosure.closure, "_sweep", no_points(swept))
         # with no sweep, only the build of the k-sums can see the deadline
         with pytest.raises(ResourceCapError):
-            is_integrally_closed(PAIR, 2, deadline=time.monotonic() - 1)
+            is_integrally_closed(ideal, 2, deadline=time.monotonic() - 1)
+        assert swept == [2]
 
     def test_heavy_path_witness(self):
         report = is_integrally_closed(edge_ideal(path_graph((2, 2))), 1)
@@ -402,6 +429,61 @@ class TestNormality:
     def test_kmax_validation(self):
         with pytest.raises(ValueError):
             is_normal_up_to(PAIR, 0)
+
+    def test_largest_kmax(self):
+        # only the powers probed are evaluated: I^2 of PAIR is never
+        # reached, and unit P3 stops where the box of I^215 passes the cap
+        assert is_normal_up_to(PAIR, 2**63 - 1) == is_normal_up_to(PAIR, 1)
+        with pytest.raises(ResourceCapError, match="has 10077696 points"):
+            is_normal_up_to(edge_ideal(path_graph((1, 1))), 2**63 - 1)
+
+    def test_deadline_inside_the_carried_sum_round(self, monkeypatch):
+        # the sums of two generators are built after the sweep of I^2
+        # and before its report, from the sums of one
+        ideal = MonomialIdeal(3, PAIR.generators)
+        dual_functionals(ideal)  # cached duals skip their check
+        swept = []
+        monkeypatch.setattr(edgeclosure.closure, "_sweep", no_points(swept))
+        with pytest.raises(ResourceCapError):
+            is_normal_up_to(ideal, 3, deadline=time.monotonic() - 1)
+        assert swept == [1, 2]
+
+    @pytest.mark.parametrize("include_generators", [True, False])
+    def test_probe_agrees_with_each_power_alone(self, rng, include_generators):
+        # The carried sums in the box of the last power give the reports
+        # of `is_integrally_closed` on each power, up to the first failure.
+        graphs = [
+            unit_complete(5),
+            unit_complete(6),
+            # scan-clean, with I^2 and I^3 the first powers not closed
+            WeightedGraph(5, ((1, 5, 2), (2, 3, 1), (2, 4, 1), (3, 4, 1))),
+            WeightedGraph(6, ((1, 2, 1), (1, 3, 1), (2, 3, 1), (4, 5, 1), (4, 6, 1), (5, 6, 1))),
+        ]
+        while len(graphs) < 64:
+            n = rng.randint(2, 5)
+            pairs = combinations(range(1, n + 1), 2)
+            edges = tuple((u, v, rng.randint(1, 3)) for u, v in pairs if rng.random() < 0.6)
+            if edges:
+                graphs.append(WeightedGraph(n, edges))
+        outcomes = set()
+        for graph in graphs:
+            kmax = 4 if graph.n == 6 else 3
+            reports = is_normal_up_to(
+                edge_ideal(graph), kmax, include_generators=include_generators
+            )
+            alone = []
+            for k in range(1, kmax + 1):
+                alone.append(is_integrally_closed(
+                    edge_ideal(graph), k, include_generators=include_generators
+                ))
+                if not alone[-1].closed:
+                    break
+            assert reports == alone, graph
+            clean = forbidden_pattern_scan(graph) is None
+            outcomes.add((clean, len(reports), reports[-1].closed))
+        # flagged graphs, clean ones closed to kmax, and clean ones first
+        # open at k = 2 and at k = 3
+        assert {(False, 1, False), (True, 3, True), (True, 2, False), (True, 3, False)} <= outcomes
 
     def test_path_with_separated_heavy_edges(self):
         ideal = edge_ideal(path_graph((2, 1, 2)))

@@ -118,22 +118,29 @@ class TestPower:
     @settings(max_examples=100, deadline=None)
     @given(proper_ideals(), st.integers(1, 3))
     def test_generator_sums_are_the_multiset_sums(self, ideal, k):
-        expected = {
-            tuple(map(sum, zip(*combo)))
-            for combo in combinations_with_replacement(ideal.generators, k)
-        }
+        # the j-th set holds the sums of j generators, j = 1..k, all in the box of power k
         shape = [k * max(g[j] for g in ideal.generators) + 1 for j in range(ideal.n)]
-        indices, strides = generator_sums(ideal, k)
+        rounds, strides = generator_sums(ideal, k)
         assert strides == box_strides(shape)
-        decoded = [decode(i, shape) for i in indices]
-        # a list, so that two indices of one vector would show
-        assert sorted(decoded) == sorted(expected)
+        rounds = list(rounds)
+        assert len(rounds) == k
+        for j, indices in enumerate(rounds, 1):
+            expected = {
+                tuple(map(sum, zip(*combo)))
+                for combo in combinations_with_replacement(ideal.generators, j)
+            }
+            decoded = [decode(i, shape) for i in indices]
+            # a list, so that two indices of one vector would show
+            assert sorted(decoded) == sorted(expected)
         assert minimalize(decoded, ideal.n) == power_by_multisets(ideal, k)
 
     def test_generator_sums_check_the_deadline(self):
+        # before each round, when its set is drawn: the first set needs none
         ideal = MonomialIdeal(2, [(1, 0), (0, 1)])
+        rounds, _ = generator_sums(ideal, 2, deadline=time.monotonic() - 1)
+        assert next(rounds) == {1, 3}
         with pytest.raises(ResourceCapError):
-            generator_sums(ideal, 2, deadline=time.monotonic() - 1)
+            next(rounds)
 
     def test_rejects_k_zero(self):
         ideal = MonomialIdeal(2, [(1, 1)])
