@@ -22,9 +22,12 @@ product with the box strides, and tuples are built only for the
 generators asked for or the witness named.  A probe of the powers
 k = 1..kmax is one job: it carries the sums from each power to the next,
 one generator added per power, in the box of the last power the box cap
-lets it sweep.  numpy is imported by the sweep itself, on its first
-call: the certificates below, the packing oracles and the pattern scan
-never load it.  The wall-clock deadline is checked inside the dual
+lets it sweep, and sweeps every power from one plan built in that box:
+the axes, the integer width (taken once, at the last power, where every
+bound is largest) and the products w_j * a_j of the functionals, whose
+leading entries serve each lower power.  numpy is imported by the sweep
+itself, on its first call: the certificates below, the packing oracles
+and the pattern scan never load it.  The wall-clock deadline is checked inside the dual
 enumeration, before each functional of the sweep and before each round
 of the k-sum build.
 
@@ -40,7 +43,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from operator import mul
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import ResourceCapError, check_deadline
 from .ideals import (
@@ -114,27 +117,33 @@ def closure_generators(
 ) -> tuple[ExponentVector, ...]:
     """Minimal generators of the integral closure of I^k, sorted lex."""
     require_int(1, k=k)
-    points = _minimal_points(ideal, k, box_cap, deadline)
+    points = next(_minimal_points(ideal, (k,), k, box_cap, deadline))
     strides = box_strides([b + 1 for b in power_box(ideal, k)])
     return _lex_sorted(points, _flat_indices(points, strides, box_cap))
 
 
 def _minimal_points(
-    ideal: MonomialIdeal, k: int, box_cap: int, deadline: float | None
-):
-    """The minimal points of the closure of I^k, swept in the box of I^k.
+    ideal: MonomialIdeal, powers: Iterable[int], last: int, box_cap: int, deadline: float | None
+) -> Iterator:
+    """The minimal points of the closure of I^k for each k of `powers`, lazily.
 
-    They are the rows of an int64 array, in the sweep's order.
+    Each is swept in its own box from one plan, built in the box of I^last
+    once the first power passes the box cap.  The points are the rows of
+    an int64 array, in the sweep's order.
     """
     require_proper(ideal)
-    shape = tuple(b + 1 for b in power_box(ideal, k))
-    volume = math.prod(shape)
-    if volume > box_cap:
-        raise ResourceCapError(
-            f"lattice box has {volume} points, exceeding the cap of {box_cap}"
-        )
-    functionals = dual_functionals(ideal, deadline=deadline)
-    return _sweep(shape, functionals, k, deadline)
+    plan = None
+    for k in powers:
+        shape = tuple(b + 1 for b in power_box(ideal, k))
+        volume = math.prod(shape)
+        if volume > box_cap:
+            raise ResourceCapError(
+                f"lattice box has {volume} points, exceeding the cap of {box_cap}"
+            )
+        if plan is None:
+            box = shape if k == last else tuple(b + 1 for b in power_box(ideal, last))
+            plan = _sweep_plan(box, dual_functionals(ideal, deadline=deadline), last)
+        yield _sweep(plan, shape, k, deadline)
 
 
 def _flat_indices(points, strides: tuple[int, ...], box_cap: int):
@@ -169,7 +178,9 @@ def _sweep_width(
     width whose limit exceeds all of them is returned, with Python
     integers (`object`) as the last resort.  numpy wraps a narrow
     integer silently, so the limits keep two bits of margin below the
-    width's range.
+    width's range.  A sweep plan takes it once, at its last power: the
+    box of I^k is k * tops + 1, so every bound is non-decreasing in k
+    and the width stays exact at every lower power.
     """
     spans = [b - 1 for b in shape]
     bound = shape[col]
@@ -178,58 +189,74 @@ def _sweep_width(
     return next((name for name, limit in _WIDTHS if bound < limit), object)
 
 
-def _sweep(
-    shape: tuple[int, ...],
-    functionals: Sequence[tuple[tuple[int, ...], int]],
-    k: int,
-    deadline: float | None,
-) -> tuple[ExponentVector, ...]:
-    """Minimal points of the box where every a.w >= k*s.
+def _sweep_plan(
+    shape: tuple[int, ...], functionals: Sequence[tuple[tuple[int, ...], int]], k: int
+):
+    """The set-up of `_sweep` in the box `shape` of I^k, for every power <= k.
 
-    They are the rows of an int64 array, in the row-major order of their
-    columns; callers that want them sorted sort by flat index.
-
-    The longest axis is the column axis; the grid is spanned by the
-    other axes of length > 1.  A column's height, the least t >= 0 where
-    every functional holds, is the maximum of rest // w_col over the
-    functionals, rest = k*s + w_col - 1 - (w on the grid coordinates),
-    summed from the innermost grid axis out so that only its last step
-    spans the grid; each step takes off w_j * a_j >= 0, within the bound
-    of `_sweep_width`.  A functional with w_col = 0 fails where
-    rest >= 0; the mask `outside` puts those columns at the top after
-    the loop.  The set is an up-set, so a column's lowest point is
-    minimal iff it lies in the box and each grid predecessor a' - e_j,
-    one stride of axis j back in the raveled heights (none on the slab
-    a_j = 0), is strictly higher.  Heights above the top need no
-    clipping.  Memory is one height, in the width of `_sweep_width`, and
-    two bools per column, not per box point.
+    The column axis is the longest; the grid is spanned by the other axes
+    of length > 1, in the box of every power alike.  The plan holds the
+    width of `_sweep_width`, one product w_j * (0..b_j - 1) per distinct
+    (grid axis, weight), shaped to broadcast from the innermost grid axis
+    out, of which a lower power takes the leading entries (a contiguous
+    view), and each functional as (s, w_col, its products innermost first).
     """
     import numpy as np
 
-    n = len(shape)
-    col = max(range(n), key=shape.__getitem__)
+    col = max(range(len(shape)), key=shape.__getitem__)
     dtype = _sweep_width(shape, functionals, k, col)
-    top = shape[col]
     # A length-1 axis holds only 0, where w_j * 0 adds nothing; each kept
     # axis at least doubles the volume, so there are at most log2(volume).
     axes = [j for j, b in enumerate(shape) if b > 1 and j != col]
+    inner_first = list(enumerate(axes))[::-1]
+    products: dict[tuple[int, int], int] = {}  # (position, w_j) -> index
+    terms = []
+    for w, s in functionals:
+        term = [products.setdefault((pos, w[j]), len(products)) for pos, j in inner_first if w[j]]
+        terms.append((s, w[col], term))
+    ones = (1,) * len(axes)
+    factors = [(pos, np.arange(0, c * shape[axes[pos]], c, dtype).reshape(-1, *ones[pos + 1:]))
+               for pos, c in products]
+    return col, axes, dtype, factors, terms
+
+
+def _sweep(plan, shape: tuple[int, ...], k: int, deadline: float | None):
+    """Minimal points of the box `shape` where every a.w >= k*s, for the
+    functionals (w, s) of `plan`, a `_sweep_plan` of this power or a higher
+    one: the rows of an int64 array, in the row-major order of their
+    columns; callers that want them sorted sort by flat index.
+
+    A column's height, the least t >= 0 where every functional holds,
+    is the maximum of rest // w_col over the functionals,
+    rest = k*s + w_col - 1 - (w on the grid coordinates), summed from
+    the innermost grid axis out so that only its last step spans the
+    grid; each step takes off w_j * a_j >= 0, within the bound of
+    `_sweep_width`.  A functional with w_col = 0 fails where rest >= 0;
+    the mask `outside` puts those columns at the top after the loop.
+    The set is an up-set, so a column's lowest point is minimal iff it
+    lies in the box and each grid predecessor a' - e_j, one stride of
+    axis j back in the raveled heights (none on the slab a_j = 0), is
+    strictly higher.  Heights above the top need no clipping.  Memory is
+    one height, in the plan's width, and two bools per column, not per
+    box point.
+    """
+    import numpy as np
+
+    col, axes, dtype, factors, terms = plan
+    top = shape[col]
     grid = tuple(shape[j] for j in axes)
-    ramps = [
-        np.arange(b, dtype=dtype).reshape(b, *[1] * (len(grid) - 1 - pos))
-        for pos, b in enumerate(grid)
-    ]
+    # only the axes with w_j != 0 broadcast: rest may be smaller than the grid
+    views = [f[: grid[pos]] for pos, f in factors]
     height = np.zeros(grid, dtype=dtype)
     outside = np.zeros(grid, dtype=bool)
-    for w, s in functionals:
+    for s, w_col, term in terms:
         check_deadline(deadline)
-        # only the axes with w_j != 0 broadcast: rest may be smaller than the grid
-        rest = k * s + w[col] - 1
-        for j, r in zip(reversed(axes), reversed(ramps)):
-            if w[j]:
-                rest = rest - (r if w[j] == 1 else w[j] * r)
-        if w[col]:
-            if w[col] > 1:  # in place: rest is a new array or an int
-                rest //= w[col]
+        rest = k * s + w_col - 1
+        for i in term:
+            rest = rest - views[i]
+        if w_col:
+            if w_col > 1:  # in place: rest is a new array or an int
+                rest //= w_col
             np.maximum(height, rest, out=height)
         else:
             outside |= rest >= 0
@@ -243,9 +270,10 @@ def _sweep(
         less.reshape(-1, b, step)[:, 0, :] = True
         minimal &= less
     rows = np.flatnonzero(minimal)
-    points = np.zeros((len(rows), n), np.int64)
-    for j, b, step in zip(axes, grid, steps):
-        points[:, j] = rows // step % b
+    points = np.zeros((len(rows), len(shape)), np.int64)
+    # a grid of no axis still holds one column, which (1,) indexes alike
+    for j, a in zip(axes, np.unravel_index(rows, grid or (1,))):
+        points[:, j] = a
     points[:, col] = flat[rows]
     return points
 
@@ -265,7 +293,7 @@ def is_integrally_closed(
     minimal generator outside I^k.
     """
     require_int(1, k=k)
-    points = _minimal_points(ideal, k, box_cap, deadline)
+    points = next(_minimal_points(ideal, (k,), k, box_cap, deadline))
     rounds, strides = generator_sums(ideal, k, deadline=deadline)
     sums = deque(rounds, maxlen=1).pop()
     return _report(k, points, _flat_indices(points, strides, box_cap), sums, include_generators)
@@ -286,18 +314,17 @@ def is_normal_up_to(
     of `generator_sums` per power, in the box of `_last_power`, the last
     power the probe can sweep.  Every box swept lies inside that box, so
     the flat indices there compare each power's minimal points with its
-    sums.  A power past it fails its own sweep on the box cap, as it
-    would alone, and no power beyond the probe's reach is evaluated, so
-    kmax may be any int.
+    sums, and one sweep plan built there serves every power.  A power
+    past it fails its own sweep on the box cap, as it would alone, and no
+    power beyond the probe's reach is evaluated, so kmax may be any int.
     """
     require_int(1, kmax=kmax)
     require_proper(ideal)
-    rounds, strides = generator_sums(
-        ideal, _last_power(ideal, kmax, box_cap), deadline=deadline
-    )
+    last = _last_power(ideal, kmax, box_cap)
+    rounds, strides = generator_sums(ideal, last, deadline=deadline)
+    sweeps = _minimal_points(ideal, range(1, kmax + 1), last, box_cap, deadline)
     reports = []
-    for k in range(1, kmax + 1):
-        points = _minimal_points(ideal, k, box_cap, deadline)
+    for k, points in enumerate(sweeps, 1):
         indices = _flat_indices(points, strides, box_cap)
         reports.append(_report(k, points, indices, next(rounds), include_generators))
         if not reports[-1].closed:

@@ -26,7 +26,8 @@ integer numerators over one denominator, in lowest terms once it is an
 oracle's answer; `Fraction`s are built only when a caller reads a
 certificate's `y` or `value`, and as the exact bound that orders the
 branch-and-bound heap.  The vertices of the dual program, enumerated
-once per ideal and kept under `_cache["dual_functionals"]`, let bulk
+once per ideal by a double description that starts from the cone of the
+first generator, and kept under `_cache["dual_functionals"]`, let bulk
 scans test closure membership with integer dot products alone.
 """
 from __future__ import annotations
@@ -270,8 +271,11 @@ def dual_functionals(
     The vertices are found by the double-description method (Motzkin,
     Raiffa, Thompson & Thrall 1953; Fukuda & Prodon 1996) on the cone
     {(z, t) : z >= 0, t >= 0, g.z >= t}, whose extreme rays with t > 0
-    are the vertices (z/t).  The enumeration checks `deadline` once per
-    generator; a cached result is returned without checking it.
+    are the vertices (z/t).  It starts from the orthant cut by the first
+    generator, whose rays are known outright, and a generator that cuts
+    no ray only marks the rays it is tight on.  The enumeration checks
+    `deadline` once per generator, the first included; a cached result
+    is returned without checking it.
     """
     cached = ideal._cache.get("dual_functionals")
     if cached is not None:
@@ -282,13 +286,22 @@ def dual_functionals(
     # Rays are integer vectors (z_0, ..., z_{n-1}, t) with coprime
     # entries.  A ray's tight set is a bitmask of the constraints it
     # meets with equality: bit j < d for the orthant facet of coordinate
-    # j, bit d + i for generator i.  The cone starts as the orthant.
-    rays = [tuple(int(c == j) for c in range(d)) for j in range(d)]
-    tight = [((1 << d) - 1) ^ (1 << j) for j in range(d)]
-    for i, g in enumerate(ideal.generators):
+    # j, bit d + i for generator i.  The first generator g cuts the
+    # orthant into the rays (e_j, 0) for every j, tight on g where
+    # g_j = 0, and (e_j, g_j) for each j with g_j > 0, tight on g.
+    check_deadline(deadline)
+    g, full = ideal.generators[0], (1 << d) - 1
+    rays = [(0,) * j + (1,) + (0,) * (n - j) for j in range(n)]
+    rays += [rays[j][:n] + (g[j],) for j in range(n) if g[j]]
+    tight = [full ^ (1 << j) | (0 if g[j] else 1 << d) for j in range(n)]
+    tight += [full ^ (1 << j) ^ (1 << n) | 1 << d for j in range(n) if g[j]]
+    for i, g in enumerate(ideal.generators[1:], 1):
         check_deadline(deadline)
         values = [sum(map(mul, g, r)) - r[n] for r in rays]  # map stops at g's n entries
         bit = 1 << (d + i)
+        if min(values) >= 0:  # g cuts no ray: only the tight sets change
+            tight = [z | bit if not v else z for z, v in zip(tight, values)]
+            continue
         kept = [r for r, v in zip(rays, values) if v >= 0]
         kept_tight = [z | bit if v == 0 else z for z, v in zip(tight, values) if v >= 0]
         neg = [q for q, v in enumerate(values) if v < 0]

@@ -14,6 +14,7 @@ import edgeclosure.closure
 from edgeclosure.closure import (
     PowerIdentityCertificate,
     _sweep,
+    _sweep_plan,
     _sweep_width,
     closure_generators,
     is_integrally_closed,
@@ -52,8 +53,10 @@ UNITS = ((0, 1), (1, 0))  # the generators x2, x1
 
 
 def swept(shape, functionals, k):
-    """The rows `_sweep` returns, as the sorted tuples of the oracle."""
-    return tuple(sorted(map(tuple, _sweep(shape, functionals, k, None).tolist())))
+    """The rows `_sweep` returns from a plan for this power, as the
+    sorted tuples of the oracle."""
+    plan = _sweep_plan(shape, functionals, k)
+    return tuple(sorted(map(tuple, _sweep(plan, shape, k, None).tolist())))
 
 
 @pytest.mark.parametrize(
@@ -334,9 +337,19 @@ class TestClosureGenerators:
             closure_generators(ideal, 1, deadline=past)
 
 
+def logged(name, fn, calls, result=False):
+    """`fn`, logging (name, k) per call, k its third argument, and its
+    result too when asked."""
+    def call(*args):
+        out = fn(*args)
+        calls.append((name, args[2], out) if result else (name, args[2]))
+        return out
+    return call
+
+
 def no_points(swept):
     """A stand-in for `_sweep` that finds no minimal point and logs each k."""
-    def sweep(shape, functionals, k, deadline):
+    def sweep(plan, shape, k, deadline):
         swept.append(k)
         return np.zeros((0, len(shape)), np.int64)
     return sweep
@@ -436,6 +449,38 @@ class TestNormality:
         assert is_normal_up_to(PAIR, 2**63 - 1) == is_normal_up_to(PAIR, 1)
         with pytest.raises(ResourceCapError, match="has 10077696 points"):
             is_normal_up_to(edge_ideal(path_graph((1, 1))), 2**63 - 1)
+
+    def test_probe_sets_up_its_sweeps_once(self, monkeypatch):
+        # one plan, and one width, at the last power serve every power
+        calls = []
+        for name in ("_sweep_plan", "_sweep_width", "_sweep"):
+            monkeypatch.setattr(
+                edgeclosure.closure, name, logged(name, getattr(edgeclosure.closure, name), calls)
+            )
+        reports = is_normal_up_to(edge_ideal(path_graph((2, 1, 2))), 4)
+        assert [r.closed for r in reports] == [True] * 4
+        assert calls == [("_sweep_width", 4), ("_sweep_plan", 4)] + [("_sweep", k) for k in (1, 2, 3, 4)]
+
+    @pytest.mark.parametrize("include_generators", [True, False])
+    def test_lower_power_swept_in_the_width_of_the_last(self, monkeypatch, include_generators):
+        # alone, I^1 is swept in int16 and I^2 in int32; the probe to
+        # k = 2 sweeps I^1 from the plan of I^2, in int32
+        ideal = edge_ideal(path_graph((65, 64)))
+        widths = []
+        for k in (1, 2):
+            shape = tuple(b + 1 for b in power_box(ideal, k))
+            widths.append(_sweep_width(shape, dual_functionals(ideal), k, 0))
+        assert widths == ["int16", "int32"]
+        assert math.prod(shape) == 2_213_769
+        alone = is_integrally_closed(ideal, 1, include_generators=include_generators)
+        calls = []
+        monkeypatch.setattr(
+            edgeclosure.closure, "_sweep_width", logged("width", _sweep_width, calls, result=True)
+        )
+        reports = is_normal_up_to(ideal, 2, include_generators=include_generators)
+        assert calls == [("width", 2, "int32")]
+        assert reports == [alone]
+        assert not alone.closed
 
     def test_deadline_inside_the_carried_sum_round(self, monkeypatch):
         # the sums of two generators are built after the sweep of I^2

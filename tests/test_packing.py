@@ -328,6 +328,32 @@ class TestDualFunctionals:
         assert "dual_functionals" not in k6._cache
         assert dual_functionals(k6) == dual_functionals_by_bases(k6)
 
+    def test_single_generator_past_deadline_raises_before_caching(self):
+        # the start cone is its whole enumeration, and the deadline is
+        # still checked once for that generator
+        ideal = MonomialIdeal(3, [(0, 0, 3)])
+        with pytest.raises(ResourceCapError):
+            dual_functionals(ideal, deadline=time.monotonic() - 1.0)
+        assert "dual_functionals" not in ideal._cache
+        assert dual_functionals(ideal) == (((0, 0, 1), 3),)
+
+    @pytest.mark.parametrize(
+        "gens",
+        [
+            [(0, 0, 3)],
+            [(0, 0, 2), (1, 1, 0)],
+            [(0, 2, 0, 1), (1, 0, 3, 0), (2, 1, 0, 0)],
+            [(0, 0, 1, 4, 0), (0, 3, 0, 0, 2), (5, 0, 0, 1, 0)],
+            # the third generator cuts no ray of the first two's cone
+            [(0, 0, 2), (0, 2, 0), (1, 1, 1)],
+        ],
+        ids=["single", "pair", "three-in-4", "three-in-5", "uncut"],
+    )
+    def test_start_cone_of_a_first_generator_missing_coordinates(self, gens):
+        ideal = MonomialIdeal(len(gens[0]), gens)
+        assert 0 in ideal.generators[0]
+        assert dual_functionals(ideal) == dual_functionals_by_bases(ideal)
+
 
 class TestMemo:
     def test_query_solves_each_program_once(self, solve_keys):
