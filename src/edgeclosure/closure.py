@@ -10,8 +10,8 @@ set, by one ceiling division per functional.  A column's lowest point is
 minimal iff it lies in the box and sits strictly below the lowest points
 of its neighbouring columns a' - e_j, so the sweep holds a few entries
 per column, not per box point.  Its passes over the columns run on
-contiguous memory (sums from the innermost axis out, one bool mask,
-neighbours at flat offsets), in the narrowest of int16, int32 and int64
+contiguous memory (sums from the innermost axis out, neighbours at
+flat offsets), in the narrowest of int16, int32 and int64
 with two bits to spare, or in Python integers when none is wide enough,
 so the sweep is exact on every input.  Closedness is decided by looking
 the minimal elements up among the sums of k generators, each kept as its
@@ -22,12 +22,10 @@ product with the box strides, and tuples are built only for the
 generators asked for or the witness named.  A probe of the powers
 k = 1..kmax is one job: it carries the sums from each power to the next,
 one generator added per power, in the box of the last power the box cap
-lets it sweep, and sweeps every power from one plan built in that box:
-the axes, the integer width (taken once, at the last power, where every
-bound is largest) and the products w_j * a_j of the functionals, whose
-leading entries serve each lower power.  numpy is imported by the sweep
-itself, on its first call: the certificates below, the packing oracles
-and the pattern scan never load it.  The wall-clock deadline is checked inside the dual
+lets it sweep, and sweeps every power from one plan set up in that box
+(`_sweep_plan`).  numpy is imported by the sweep itself, on its first
+call: the certificates below, the packing oracles and the pattern scan
+never load it.  The wall-clock deadline is checked inside the dual
 enumeration, before each functional of the sweep and before each round
 of the k-sum build.
 
@@ -178,9 +176,7 @@ def _sweep_width(
     width whose limit exceeds all of them is returned, with Python
     integers (`object`) as the last resort.  numpy wraps a narrow
     integer silently, so the limits keep two bits of margin below the
-    width's range.  A sweep plan takes it once, at its last power: the
-    box of I^k is k * tops + 1, so every bound is non-decreasing in k
-    and the width stays exact at every lower power.
+    width's range.  `_sweep_plan` takes it once, at its last power.
     """
     spans = [b - 1 for b in shape]
     bound = shape[col]
@@ -195,75 +191,73 @@ def _sweep_plan(
     """The set-up of `_sweep` in the box `shape` of I^k, for every power <= k.
 
     The column axis is the longest; the grid is spanned by the other axes
-    of length > 1, in the box of every power alike.  The plan holds the
-    width of `_sweep_width`, one product w_j * (0..b_j - 1) per distinct
-    (grid axis, weight), shaped to broadcast from the innermost grid axis
-    out, of which a lower power takes the leading entries (a contiguous
-    view), and each functional as (s, w_col, its products innermost first).
+    of length > 1, in the box of every power alike.  The box of I^k is
+    k * tops + 1, so every bound of `_sweep_width` is non-decreasing in k,
+    and the width taken here is exact at every lower power.  The plan
+    holds one product w_j * (0..b_j - 1) per distinct (grid axis, weight),
+    shaped to broadcast from the innermost grid axis out, of which a lower
+    power takes the leading entries (a contiguous view), and each
+    functional as (s, w_col, the indices of its products innermost first).
     """
     import numpy as np
 
     col = max(range(len(shape)), key=shape.__getitem__)
-    dtype = _sweep_width(shape, functionals, k, col)
+    dtype = np.dtype(_sweep_width(shape, functionals, k, col))
     # A length-1 axis holds only 0, where w_j * 0 adds nothing; each kept
     # axis at least doubles the volume, so there are at most log2(volume).
     axes = [j for j, b in enumerate(shape) if b > 1 and j != col]
+    grid = tuple(shape[j] for j in axes)
     inner_first = list(enumerate(axes))[::-1]
-    products: dict[tuple[int, int], int] = {}  # (position, w_j) -> index
-    terms = []
-    for w, s in functionals:
-        term = [products.setdefault((pos, w[j]), len(products)) for pos, j in inner_first if w[j]]
-        terms.append((s, w[col], term))
-    ones = (1,) * len(axes)
-    factors = [(pos, np.arange(0, c * shape[axes[pos]], c, dtype).reshape(-1, *ones[pos + 1:]))
-               for pos, c in products]
-    return col, axes, dtype, factors, terms
+    index: dict[tuple[int, int], int] = {}  # (position, w_j) -> product
+    terms = [(s, w[col], [index.setdefault((pos, w[j]), len(index)) for pos, j in inner_first if w[j]])
+             for w, s in functionals]
+    spread = [(slice(None),) + (None,) * (len(grid) - 1 - pos) for pos in range(len(grid))]
+    products = [np.arange(0, c * grid[pos], c, dtype)[spread[pos]] for pos, c in index]
+    return col, axes, grid, dtype, products, terms
 
 
 def _sweep(plan, shape: tuple[int, ...], k: int, deadline: float | None):
     """Minimal points of the box `shape` where every a.w >= k*s, for the
-    functionals (w, s) of `plan`, a `_sweep_plan` of this power or a higher
-    one: the rows of an int64 array, in the row-major order of their
-    columns; callers that want them sorted sort by flat index.
+    functionals (w, s) of `plan`, the `_sweep_plan` of this power or a
+    higher one: the rows of an int64 array, in the row-major order of
+    their columns; callers that want them sorted sort by flat index.
 
     A column's height, the least t >= 0 where every functional holds,
     is the maximum of rest // w_col over the functionals,
     rest = k*s + w_col - 1 - (w on the grid coordinates), summed from
     the innermost grid axis out so that only its last step spans the
-    grid; each step takes off w_j * a_j >= 0, within the bound of
-    `_sweep_width`.  A functional with w_col = 0 fails where rest >= 0;
-    the mask `outside` puts those columns at the top after the loop.
-    The set is an up-set, so a column's lowest point is minimal iff it
-    lies in the box and each grid predecessor a' - e_j, one stride of
-    axis j back in the raveled heights (none on the slab a_j = 0), is
-    strictly higher.  Heights above the top need no clipping.  Memory is
-    one height, in the plan's width, and two bools per column, not per
-    box point.
+    grid; each step takes off w_j * a_j >= 0, within the plan's width.
+    A functional with w_col = 0 fails where rest >= 0, and those columns
+    are set to the top at once, which no later maximum lowers.  The set
+    is an up-set, so a column's lowest point is minimal iff it lies in
+    the box and each grid predecessor a' - e_j, one stride of axis j back
+    in the raveled heights (none on the slab a_j = 0), is strictly
+    higher.  Heights above the top need no clipping.  Memory is one height, in
+    the plan's width, and two bools per column, not per box point.
     """
     import numpy as np
 
-    col, axes, dtype, factors, terms = plan
+    col, axes, box_grid, dtype, products, terms = plan
     top = shape[col]
     grid = tuple(shape[j] for j in axes)
-    # only the axes with w_j != 0 broadcast: rest may be smaller than the grid
-    views = [f[: grid[pos]] for pos, f in factors]
+    if grid != box_grid:  # a product broadcast from grid axis pos has len(grid) - pos axes
+        products = [f[: grid[-f.ndim]] for f in products]
     height = np.zeros(grid, dtype=dtype)
-    outside = np.zeros(grid, dtype=bool)
     for s, w_col, term in terms:
         check_deadline(deadline)
+        # only the axes with w_j != 0 broadcast: rest may be smaller than the grid
         rest = k * s + w_col - 1
         for i in term:
-            rest = rest - views[i]
+            rest = rest - products[i]
         if w_col:
             if w_col > 1:  # in place: rest is a new array or an int
                 rest //= w_col
             np.maximum(height, rest, out=height)
         else:
-            outside |= rest >= 0
-    height[outside] = top
+            np.copyto(height, top, where=rest >= 0)
     flat = height.ravel()
     minimal = flat < top
-    less = outside.ravel()
+    less = np.empty_like(minimal)
     steps = [t // height.itemsize for t in height.strides]
     for b, step in zip(grid, steps):
         np.less(flat[step:], flat[:-step], out=less[step:])

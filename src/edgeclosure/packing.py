@@ -272,8 +272,7 @@ def dual_functionals(
     Raiffa, Thompson & Thrall 1953; Fukuda & Prodon 1996) on the cone
     {(z, t) : z >= 0, t >= 0, g.z >= t}, whose extreme rays with t > 0
     are the vertices (z/t).  It starts from the orthant cut by the first
-    generator, whose rays are known outright, and a generator that cuts
-    no ray only marks the rays it is tight on.  The enumeration checks
+    generator, whose rays are known outright.  The enumeration checks
     `deadline` once per generator, the first included; a cached result
     is returned without checking it.
     """
@@ -299,9 +298,6 @@ def dual_functionals(
         check_deadline(deadline)
         values = [sum(map(mul, g, r)) - r[n] for r in rays]  # map stops at g's n entries
         bit = 1 << (d + i)
-        if min(values) >= 0:  # g cuts no ray: only the tight sets change
-            tight = [z | bit if not v else z for z, v in zip(tight, values)]
-            continue
         kept = [r for r, v in zip(rays, values) if v >= 0]
         kept_tight = [z | bit if v == 0 else z for z, v in zip(tight, values) if v >= 0]
         neg = [q for q, v in enumerate(values) if v < 0]
